@@ -1,128 +1,27 @@
-(* Benchmark harness.
+(* Benchmark harness for the substrate.
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (the per-experiment index of DESIGN.md) and prints paper-vs-measured
-   rows plus the numeric series behind the figures.
+   Part 1 runs bechamel microbenchmarks over the simulator's hot paths so
+   performance regressions in the substrate are visible, plus the runner
+   pool's serial-vs-forked speedup on the E18 quick jobs.
 
-   Part 2 runs bechamel microbenchmarks over the simulator's hot paths so
-   performance regressions in the substrate are visible.
-
-   Part 3 is the macro throughput benchmark: simulated-seconds/sec,
+   Part 2 is the macro throughput benchmark: simulated-seconds/sec,
    packets/sec and GC pressure on a canonical 1 s Reno run, written to
    BENCH_simulator.json next to a recorded pre-optimization baseline.
 
-   Pass --quick for shortened simulation runs, --macro to run only the
+   The paper's tables come from `repro --all` and the figure series from
+   `starvation_lab figures` / `export`; this harness only times the
+   machinery.  Pass --quick for shortened runs, --macro to run only the
    macro benchmark (the CI bench-smoke entry point). *)
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 let macro_only = Array.exists (fun a -> a = "--macro") Sys.argv
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: paper tables and figures                                    *)
-(* ------------------------------------------------------------------ *)
-
-let figures () =
-  (* Figure 1: RTT trajectories. *)
-  List.iter
-    (fun (name, s) ->
-      let data =
-        Array.to_list
-          (Array.map2
-             (fun t v -> [ t; Sim.Units.to_ms v ])
-             (Sim.Series.times s) (Sim.Series.values s))
-      in
-      let every = max 1 (List.length data / 60) in
-      let data = List.filteri (fun i _ -> i mod every = 0) data in
-      Experiments.Report.print_series
-        ~title:(Printf.sprintf "Figure 1 (%s): time (s), RTT (ms)" name)
-        ~cols:[ "t"; "rtt_ms" ] data)
-    (Experiments.Exp_fig1.series ~quick ());
-  (* Figures 2-3: analytic rate-delay bands. *)
-  let rates = List.map Sim.Units.mbps [ 0.1; 0.3; 1.; 3.; 10.; 30.; 100. ] in
-  List.iter
-    (fun (name, pts) ->
-      Experiments.Report.print_series
-        ~title:(Printf.sprintf "Figure 3 (%s): rate (Mbit/s), delay band (ms)" name)
-        ~cols:[ "mbps"; "d_min_ms"; "d_max_ms" ]
-        (List.map
-           (fun (r, (b : Core.Rate_delay.band)) ->
-             [ Sim.Units.to_mbps r; Sim.Units.to_ms b.d_min; Sim.Units.to_ms b.d_max ])
-           pts))
-    (Experiments.Exp_fig3.analytic_series ~rm:0.1 ~rates);
-  (* Figure 7: cwnd traces. *)
-  List.iter
-    (fun (r : Experiments.Exp_fig7.result) ->
-      let dump tag s =
-        let data =
-          Array.to_list
-            (Array.map2
-               (fun t v -> [ t; v /. 1500. ])
-               (Sim.Series.times s) (Sim.Series.values s))
-        in
-        let every = max 1 (List.length data / 60) in
-        let data = List.filteri (fun i _ -> i mod every = 0) data in
-        Experiments.Report.print_series
-          ~title:(Printf.sprintf "Figure 7 (%s, %s): time (s), cwnd (pkts)" r.cca_name tag)
-          ~cols:[ "t"; "cwnd" ] data
-      in
-      dump "delack" r.cwnd_delack;
-      dump "normal" r.cwnd_normal)
-    (Experiments.Exp_fig7.series ~quick ());
-  (* Figures 4-6 from the Theorem 1 construction. *)
-  (match Experiments.Exp_theorem1.outcome ~quick () with
-  | Error e -> Printf.printf "theorem1 construction failed: %s\n" e
-  | Ok o ->
-      Experiments.Report.print_series ~title:"Figure 4: probe rate (Mbit/s), d_max (ms)"
-        ~cols:[ "mbps"; "d_max_ms" ]
-        (List.map
-           (fun (m : Core.Convergence.measurement) ->
-             [ Sim.Units.to_mbps m.rate; Sim.Units.to_ms m.d_max ])
-           o.Core.Theorem1.pair.Core.Pigeonhole.probes);
-      let trajectories =
-        [
-          ("C1 rtt", o.Core.Theorem1.pair.Core.Pigeonhole.m1.Core.Convergence.rtt);
-          ("C2 rtt", o.Core.Theorem1.pair.Core.Pigeonhole.m2.Core.Convergence.rtt);
-          ("d_star", o.Core.Theorem1.d_star);
-        ]
-      in
-      List.iter
-        (fun (name, s) ->
-          let data =
-            Array.to_list
-              (Array.map2
-                 (fun t v -> [ t; Sim.Units.to_ms v ])
-                 (Sim.Series.times s) (Sim.Series.values s))
-          in
-          let every = max 1 (List.length data / 40) in
-          let data = List.filteri (fun i _ -> i mod every = 0) data in
-          Experiments.Report.print_series
-            ~title:(Printf.sprintf "Figures 5-6 (%s): time (s), delay (ms)" name)
-            ~cols:[ "t"; "ms" ] data)
-        trajectories);
-  (* E10: the sec. 6.3 figure-of-merit table. *)
-  Experiments.Report.print_series
-    ~title:"E10: figure of merit (D ms, s, vegas mu+/mu-, exponential mu+/mu-)"
-    ~cols:[ "D_ms"; "s"; "vegas"; "exponential" ]
-    (List.map
-       (fun (r : Core.Ambiguity.merit_row) ->
-         [ Sim.Units.to_ms r.jitter; r.s; r.vegas; r.exponential ])
-       (Experiments.Exp_alg1.merit_rows ()))
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: bechamel microbenchmarks                                    *)
+(* Part 1: bechamel microbenchmarks                                    *)
 (* ------------------------------------------------------------------ *)
 
 open Bechamel
 open Toolkit
-
-let bench_heap () =
-  let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-  for i = 0 to 999 do
-    Sim.Heap.push h ((i * 7919) mod 1000)
-  done;
-  while not (Sim.Heap.is_empty h) do
-    ignore (Sim.Heap.pop h)
-  done
 
 let bench_event_queue () =
   let eq = Sim.Event_queue.create () in
@@ -238,7 +137,6 @@ let bench_faulted_sim () =
 let microbenches () =
   let tests =
     [
-      Test.make ~name:"heap push/pop 1k" (Staged.stage bench_heap);
       Test.make ~name:"event queue 1k events" (Staged.stage bench_event_queue);
       Test.make ~name:"series add+integral 1k" (Staged.stage bench_series);
       Test.make ~name:"vegas 100 acks" (Staged.stage (bench_cca (fun () -> Vegas.make ())));
@@ -294,7 +192,7 @@ let pool_speedup () =
     (serial /. forked)
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: macro throughput benchmark                                  *)
+(* Part 2: macro throughput benchmark                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Pre-optimization numbers for the same canonical run, measured at the
@@ -837,19 +735,9 @@ let macro_bench () =
   Printf.printf "wrote %s\n" json
 
 let () =
-  if macro_only then begin
-    macro_bench ();
-    exit 0
-  end;
-  Printf.printf "Reproduction harness%s\n" (if quick then " (quick mode)" else "");
-  let workers = Runner.Pool.default_workers () in
-  let rows, stats = Experiments.Registry.run_all ~quick ~workers () in
-  let good = List.length (List.filter (fun r -> r.Experiments.Report.ok) rows) in
-  Printf.printf "\n%d/%d checks hold the paper's shape\n" good (List.length rows);
-  Printf.printf "(suite ran on %d workers: %d jobs, %d executed)\n" workers
-    stats.Runner.Pool.jobs stats.Runner.Pool.executed;
-  figures ();
-  pool_speedup ();
-  microbenches ();
-  macro_bench ();
-  if good < List.length rows then exit 2
+  if macro_only then macro_bench ()
+  else begin
+    pool_speedup ();
+    microbenches ();
+    macro_bench ()
+  end

@@ -60,7 +60,9 @@ let backend_arg =
                  $(b,hybrid) (fluid far from discontinuities, packet-level \
                  windows around them).  Cache keys incorporate the \
                  backend, so results never cross substrates.  Packet-only \
-                 experiments ignore this flag.")
+                 experiments ignore this flag; an experiment asked for a \
+                 backend it has no port for (census has no $(b,hybrid)) \
+                 is refused before anything runs.")
 
 let no_cache_arg =
   Arg.(value & flag & info [ "no-cache" ]
@@ -133,8 +135,12 @@ let fuzz_seed_arg =
                pure function of (S, i), so a violating (seed, index) pair \
                reproduces anywhere.")
 
-let select keys all =
-  Experiments.Registry.select (if all then [] else keys)
+(* Unknown keys and unsupported backends are both refused before any
+   job runs, with exit 1. *)
+let select keys all sim_backend =
+  Result.bind
+    (Experiments.Registry.select (if all then [] else keys))
+    (Experiments.Registry.supported sim_backend)
 
 (* `repro list`: the machine-checked inventory.  One key per line so the
    smoke test (and shell completion) can round-trip every key through
@@ -289,7 +295,7 @@ let main keys all quick jobs pool sim_backend no_cache cache_dir check resume
   | None, None, Some n -> fuzz ~seed:fuzz_seed ~n ~cache_dir
   | None, None, None when keys = [ "list" ] && not all -> list_keys ()
   | None, None, None -> (
-      match select keys all with
+      match select keys all sim_backend with
       | Error msg ->
           prerr_endline ("repro: " ^ msg);
           exit 1

@@ -1,66 +1,21 @@
-(* starvation_lab: CLI front end for the reproduction.
+(* starvation_lab: the reproduction's interactive tools.
 
-   Subcommands:
-     list                      show available experiments
-     run <key> [--quick]      run one experiment and print its table
-     all [--quick]            run every experiment
-     figures [--quick]        dump the numeric series behind the figures
-     duel --cca <name> ...    ad-hoc two-flow duel on a configurable link *)
+   The experiments themselves run through `repro` (one key, several, or
+   --all).  This front end holds what `repro` does not:
+
+     report [--quick]          run every experiment and write a markdown report
+     figures [--quick]         chart and print the figure tables
+     export [--quick]          write the figure tables as CSV files
+     convergence --cca <name>  measure delay-convergence over a rate sweep
+     theorem1 --cca <name>     run the Theorem 1 construction end to end
+     model --model vegas|aimd  adversarial search in the Appendix C model
+     trace --cca <name>        chart one flow's RTT, cwnd, rate and internals
+     duel --cca <name> ...     ad-hoc two-flow duel on a configurable link *)
 
 open Cmdliner
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Use shortened runs (coarser numbers).")
-
-(* ---------------- list ---------------- *)
-
-let list_cmd =
-  let run () =
-    List.iter
-      (fun e ->
-        Printf.printf "%-10s %s\n" e.Experiments.Registry.key
-          e.Experiments.Registry.title)
-      Experiments.Registry.all
-  in
-  Cmd.v (Cmd.info "list" ~doc:"List available experiments")
-    Term.(const run $ const ())
-
-(* ---------------- run ---------------- *)
-
-let run_cmd =
-  let key =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT")
-  in
-  let run key quick =
-    match Experiments.Registry.select [ key ] with
-    | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
-    | Ok es ->
-        List.iter
-          (fun e ->
-            let rows = e.Experiments.Registry.run ~quick in
-            Experiments.Report.print_rows ~title:e.Experiments.Registry.title
-              rows;
-            if not (Experiments.Report.all_ok rows) then exit 2)
-          es
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Run one experiment")
-    Term.(const run $ key $ quick_arg)
-
-(* ---------------- all ---------------- *)
-
-let all_cmd =
-  let run quick =
-    let rows, _stats = Experiments.Registry.run_all ~quick () in
-    let bad = List.filter (fun r -> not r.Experiments.Report.ok) rows in
-    Printf.printf "\n%d/%d checks hold the paper's shape\n"
-      (List.length rows - List.length bad)
-      (List.length rows);
-    if bad <> [] then exit 2
-  in
-  Cmd.v (Cmd.info "all" ~doc:"Run every experiment")
-    Term.(const run $ quick_arg)
 
 (* ---------------- report ---------------- *)
 
@@ -75,13 +30,15 @@ let report_cmd =
       ~finally:(fun () -> close_out oc)
       (fun () ->
         output_string oc
-          "# Generated experiment report\n\nProduced by `starvation_lab report`;            every row is paper-vs-measured.\n\n";
+          "# Generated experiment report\n\n\
+           Produced by `starvation_lab report`; every row is \
+           paper-vs-measured.\n\n";
         List.iter
           (fun e ->
-            Printf.printf "running %s...\n%!" e.Experiments.Registry.key;
-            let rows = e.Experiments.Registry.run ~quick in
+            let rows, _ = Experiments.Registry.run_selection ~quick [ e ] in
             output_string oc
-              (Experiments.Report.to_markdown ~title:e.Experiments.Registry.title rows);
+              (Experiments.Report.to_markdown ~title:e.Experiments.Registry.title
+                 rows);
             output_string oc "\n")
           Experiments.Registry.all);
     Printf.printf "wrote %s\n" out
@@ -90,129 +47,78 @@ let report_cmd =
     (Cmd.info "report" ~doc:"Run every experiment and write a markdown report")
     Term.(const run $ out $ quick_arg)
 
-(* ---------------- figures ---------------- *)
+(* ---------------- figures and export ---------------- *)
+
+(* A figure that could not be built is an error, not a missing file. *)
+let exit_on_failures cmd = function
+  | [] -> ()
+  | failures ->
+      List.iter (Printf.eprintf "%s: %s\n" cmd) failures;
+      exit 2
 
 let figures_cmd =
   let run quick =
-    let series_points s =
-      Array.to_list
-        (Array.map2
-           (fun t v -> (t, Sim.Units.to_ms v))
-           (Sim.Series.times s) (Sim.Series.values s))
+    let tables, failures = Experiments.Export.tables ~quick in
+    (* (series name, rows) of every table whose name has [prefix]. *)
+    let group prefix =
+      List.filter_map
+        (fun (t : Experiments.Export.table) ->
+          if String.starts_with ~prefix t.name then
+            let n = String.length prefix in
+            Some (String.sub t.name n (String.length t.name - n), t.rows)
+          else None)
+        tables
     in
-    (* Figure 1 charts *)
+    let chart title ~x ~y series =
+      print_string
+        (Experiments.Ascii_plot.render ~title
+           (List.map
+              (fun (name, rows) -> (name, List.map (fun r -> (x r, y r)) rows))
+              series))
+    in
+    let col i r = List.nth r i in
+    let ms i r = Sim.Units.to_ms (col i r) in
     List.iter
-      (fun (name, s) ->
-        print_string
-          (Experiments.Ascii_plot.render
-             ~title:(Printf.sprintf "Figure 1 (%s): RTT (ms) vs time (s)" name)
-             [ (name, series_points s) ]))
-      (Experiments.Exp_fig1.series ~quick ());
-    (* Figure 3 charts: d_max curves on a log-rate axis *)
-    let rates =
-      List.map Sim.Units.mbps [ 0.1; 0.2; 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100. ]
-    in
-    let fig3 =
-      List.map
-        (fun (name, pts) ->
-          ( name,
-            List.map
-              (fun (r, (b : Core.Rate_delay.band)) ->
-                (Float.log10 (Sim.Units.to_mbps r), Sim.Units.to_ms b.d_max))
-              pts ))
-        (Experiments.Exp_fig3.analytic_series ~rm:0.1 ~rates)
-    in
-    print_string
-      (Experiments.Ascii_plot.render
-         ~title:"Figure 3: d_max (ms) vs log10 rate (Mbit/s), Rm = 100 ms" fig3);
-    (* E14 phase diagram *)
-    let phase =
-      List.map
-        (fun (p : Experiments.Exp_threshold.point) ->
-          (p.jitter_over_delta, Float.min p.ratio 50.))
-        (Experiments.Exp_threshold.sweep ~quick ())
-    in
-    print_string
-      (Experiments.Ascii_plot.render
-         ~title:
-           "E14: throughput ratio (capped at 50) vs D / delta_max (copa, theorem 1             boundary at 2)"
-         [ ("copa", phase) ]);
-    (* Figure 1 series *)
+      (fun (name, rows) ->
+        chart
+          (Printf.sprintf "Figure 1 (%s): RTT (ms) vs time (s)" name)
+          ~x:(col 0) ~y:(ms 1) [ (name, rows) ])
+      (group "fig1_");
+    chart "Figure 3: d_max (ms) vs log10 rate (Mbit/s), Rm = 100 ms"
+      ~x:(fun r -> Float.log10 (col 0 r))
+      ~y:(ms 2) (group "fig3_");
+    chart
+      "E14: throughput ratio (capped at 50) vs D / delta_max (copa, Theorem 1 \
+       boundary at 2)"
+      ~x:(col 1)
+      ~y:(fun r -> Float.min (col 2 r) 50.)
+      (List.map (fun (_, rows) -> ("copa", rows)) (group "e14_phase"));
+    (* The tables themselves, thinned to at most ~200 rows for the
+       terminal; `export` writes them in full. *)
     List.iter
-      (fun (name, s) ->
-        let data =
-          Array.to_list
-            (Array.map2
-               (fun t v -> [ t; Sim.Units.to_ms v ])
-               (Sim.Series.times s) (Sim.Series.values s))
-        in
-        let every = max 1 (List.length data / 200) in
-        let data = List.filteri (fun i _ -> i mod every = 0) data in
-        Experiments.Report.print_series
-          ~title:(Printf.sprintf "Figure 1 (%s): time (s) vs RTT (ms)" name)
-          ~cols:[ "t"; "rtt_ms" ] data)
-      (Experiments.Exp_fig1.series ~quick ());
-    (* Figure 3 series *)
-    let rates =
-      List.map Sim.Units.mbps [ 0.1; 0.2; 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100. ]
-    in
-    List.iter
-      (fun (name, pts) ->
-        Experiments.Report.print_series
-          ~title:(Printf.sprintf "Figure 3 (%s): rate (Mbit/s) vs delay band (ms)" name)
-          ~cols:[ "mbps"; "d_min_ms"; "d_max_ms" ]
-          (List.map
-             (fun (r, (b : Core.Rate_delay.band)) ->
-               [ Sim.Units.to_mbps r; Sim.Units.to_ms b.d_min; Sim.Units.to_ms b.d_max ])
-             pts))
-      (Experiments.Exp_fig3.analytic_series ~rm:0.1 ~rates);
-    (* Figure 7 cwnd traces *)
-    List.iter
-      (fun (r : Experiments.Exp_fig7.result) ->
-        let dump tag s =
-          let data =
-            Array.to_list
-              (Array.map2
-                 (fun t v -> [ t; v /. 1500. ])
-                 (Sim.Series.times s) (Sim.Series.values s))
-          in
-          let every = max 1 (List.length data / 300) in
-          let data = List.filteri (fun i _ -> i mod every = 0) data in
-          Experiments.Report.print_series
-            ~title:
-              (Printf.sprintf "Figure 7 (%s, %s): time (s) vs cwnd (packets)" r.cca_name
-                 tag)
-            ~cols:[ "t"; "cwnd_pkts" ] data
-        in
-        dump "delayed-ack" r.cwnd_delack;
-        dump "per-packet-ack" r.cwnd_normal)
-      (Experiments.Exp_fig7.series ~quick ());
-    (* Figures 4-6 come from the Theorem 1 outcome *)
-    match Experiments.Exp_theorem1.outcome ~quick () with
-    | Error e -> Printf.printf "theorem1 failed: %s\n" e
-    | Ok o ->
-        Experiments.Report.print_series
-          ~title:"Figure 4: probe rates vs d_max (ms)"
-          ~cols:[ "mbps"; "d_max_ms" ]
-          (List.map
-             (fun (m : Core.Convergence.measurement) ->
-               [ Sim.Units.to_mbps m.rate; Sim.Units.to_ms m.d_max ])
-             o.Core.Theorem1.pair.Core.Pigeonhole.probes);
-        let ds = o.Core.Theorem1.d_star in
-        let data =
-          Array.to_list
-            (Array.map2
-               (fun t v -> [ t; Sim.Units.to_ms v ])
-               (Sim.Series.times ds) (Sim.Series.values ds))
-        in
-        let every = max 1 (List.length data / 200) in
-        let data = List.filteri (fun i _ -> i mod every = 0) data in
-        Experiments.Report.print_series
-          ~title:"Figure 6: shared-queue delay d*(t) (Eq. 5)" ~cols:[ "t"; "d_star_ms" ]
-          data
+      (fun (t : Experiments.Export.table) ->
+        let every = max 1 (List.length t.rows / 200) in
+        Experiments.Report.print_series ~title:t.name ~cols:t.cols
+          (List.filteri (fun i _ -> i mod every = 0) t.rows))
+      tables;
+    exit_on_failures "figures" failures
   in
-  Cmd.v (Cmd.info "figures" ~doc:"Dump the numeric series behind the paper's figures")
+  Cmd.v
+    (Cmd.info "figures" ~doc:"Chart and print the numeric series behind the paper's figures")
     Term.(const run $ quick_arg)
+
+let export_cmd =
+  let dir =
+    Arg.(value & opt string "figures" & info [ "dir" ] ~docv:"DIR"
+           ~doc:"Directory for the CSV files.")
+  in
+  let run dir quick =
+    let tables, failures = Experiments.Export.tables ~quick in
+    List.iter (Printf.printf "wrote %s\n") (Experiments.Export.write ~dir tables);
+    exit_on_failures "export" failures
+  in
+  Cmd.v (Cmd.info "export" ~doc:"Write the figure tables as CSV files")
+    Term.(const run $ dir $ quick_arg)
 
 (* ---------------- convergence ---------------- *)
 
@@ -257,9 +163,8 @@ let convergence_cmd =
   let run (name, make_cca) rates rm_ms duration =
     let rm = Sim.Units.ms rm_ms in
     Printf.printf
-      "Delay-convergence of %s (Definition 1), Rm = %.0f ms:
-%-12s %-10s %-8s %-22s %-10s %s
-"
+      "Delay-convergence of %s (Definition 1), Rm = %.0f ms:\n\
+       %-12s %-10s %-8s %-22s %-10s %s\n"
       name rm_ms "rate" "converged" "T (s)" "band (ms)" "delta(ms)" "efficiency";
     List.iter
       (fun mbps ->
@@ -267,8 +172,7 @@ let convergence_cmd =
           Core.Convergence.measure ~make_cca ~rate:(Sim.Units.mbps mbps) ~rm
             ~duration ()
         in
-        Printf.printf "%-12s %-10b %-8.1f [%8.3f, %8.3f]  %-10.3f %.3f
-"
+        Printf.printf "%-12s %-10b %-8.1f [%8.3f, %8.3f]  %-10.3f %.3f\n"
           (Printf.sprintf "%g Mbit/s" mbps)
           m.Core.Convergence.converged m.Core.Convergence.t_converge
           (Sim.Units.to_ms m.Core.Convergence.d_min)
@@ -309,8 +213,7 @@ let theorem1_cmd =
            ~doc:"Pigeonhole bucket size, ms.")
   in
   let run (name, make_cca) s f rtt_ms lambda0 eps_ms =
-    Printf.printf "Running the Theorem 1 construction on %s (s=%.1f, f=%.1f)...
-%!"
+    Printf.printf "Running the Theorem 1 construction on %s (s=%.1f, f=%.1f)...\n%!"
       name s f;
     match
       Core.Theorem1.run ~make_cca ~rm:(Sim.Units.ms rtt_ms) ~s ~f
@@ -318,8 +221,7 @@ let theorem1_cmd =
         ~epsilon:(Sim.Units.ms eps_ms) ()
     with
     | Error e ->
-        Printf.eprintf "construction failed: %s
-" e;
+        Printf.eprintf "construction failed: %s\n" e;
         exit 2
     | Ok o ->
         Format.printf "%a@." Core.Theorem1.pp_outcome o;
@@ -438,8 +340,7 @@ let trace_cmd =
                  [ (k, to_pts s) ])
         | _ -> ())
       (Sim.Flow.inspect_series f);
-    Printf.printf "throughput: %s, utilization %.2f
-"
+    Printf.printf "throughput: %s, utilization %.2f\n"
       (Experiments.Report.mbps (Sim.Network.throughputs net ()).(0))
       (Sim.Network.utilization net ())
   in
@@ -447,20 +348,6 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run one flow and chart its RTT, cwnd, rate and CCA internals")
     Term.(const run $ cca $ mbps_f $ rm_ms $ duration)
-
-(* ---------------- export ---------------- *)
-
-let export_cmd =
-  let dir =
-    Arg.(value & opt string "figures" & info [ "dir" ] ~docv:"DIR"
-           ~doc:"Directory for the CSV files.")
-  in
-  let run dir quick =
-    let paths = Experiments.Export.figures ~dir ~quick in
-    List.iter (Printf.printf "wrote %s\n") paths
-  in
-  Cmd.v (Cmd.info "export" ~doc:"Write the figure series as CSV files")
-    Term.(const run $ dir $ quick_arg)
 
 (* ---------------- duel ---------------- *)
 
@@ -532,5 +419,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; all_cmd; report_cmd; figures_cmd; export_cmd;
-            convergence_cmd; trace_cmd; model_cmd; theorem1_cmd; duel_cmd ]))
+          [ report_cmd; figures_cmd; export_cmd; convergence_cmd; theorem1_cmd;
+            model_cmd; trace_cmd; duel_cmd ]))

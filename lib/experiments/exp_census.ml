@@ -176,11 +176,13 @@ let run_cell ~variant ~cca_name ~backend ~jitter_d ~n ~seed =
   match backend with
   | Fluid.Backend.Packet ->
       run_cell_packet ~variant ~cca_name ~backend ~jitter_d ~n ~seed
-  | Fluid.Backend.Fluid | Fluid.Backend.Hybrid ->
-      (* The census has no discontinuity schedule to hand a hybrid
-         switcher, so both non-packet backends run the pure fluid
-         census. *)
+  | Fluid.Backend.Fluid ->
       run_cell_fluid ~variant ~cca_name ~backend ~jitter_d ~n ~seed
+  | Fluid.Backend.Hybrid ->
+      (* The census has no discontinuity schedule to hand a hybrid
+         switcher; the registry declares it packet/fluid only and
+         rejects a hybrid request before any job is planned. *)
+      invalid_arg "census: no hybrid backend"
 
 let cells =
   [
@@ -242,15 +244,6 @@ let rows_of_cells cs =
              well-formed distribution; the standard cell must drain. *)
           && (heavy || c.completed > c.flows / 2)))
     cs
-
-let run ?(quick = false) ?(backend = Fluid.Backend.Packet) () =
-  rows_of_cells
-    (List.map
-       (fun (variant, cca_name, jitter_d) ->
-         run_cell ~variant ~cca_name ~backend ~jitter_d
-           ~n:(population variant ~quick)
-           ~seed:42)
-       cells)
 
 let plan ~quick ~backend =
   let jobs =

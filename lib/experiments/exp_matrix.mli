@@ -29,8 +29,8 @@ type entry = {
 }
 
 val measure : ?quick:bool -> unit -> entry list
-val run : ?quick:bool -> unit -> Report.row list
+(** Every row of the matrix, in-process (the CSV export's source). *)
 
 val plan : quick:bool -> Runner.Job.t list * (bytes list -> Report.row list)
 (** One job per CCA (its four scenarios together); the merge prints the
-    matrix table and yields the same rows as {!run}. *)
+    matrix table and checks the family split. *)

@@ -53,13 +53,6 @@ let spread_of label ratios =
     max_ratio = List.fold_left Float.max 0. ratios;
   }
 
-let measure ?(quick = false) () =
-  let seeds, duration = params ~quick in
-  List.map
-    (fun (label, f) ->
-      spread_of label (List.map (fun seed -> f ~seed ~duration) seeds))
-    scenarios
-
 let rows_of_spreads spreads =
   List.map
     (fun s ->
@@ -73,8 +66,6 @@ let rows_of_spreads spreads =
         ~measured:(Printf.sprintf "ratios {%s}" shown)
         ~ok:(s.min_ratio > threshold))
     spreads
-
-let run ?quick () = rows_of_spreads (measure ?quick ())
 
 let plan ~quick =
   let seeds, duration = params ~quick in

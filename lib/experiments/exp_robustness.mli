@@ -13,11 +13,8 @@ type spread = {
   max_ratio : float;
 }
 
-val run : ?quick:bool -> unit -> Report.row list
-val measure : ?quick:bool -> unit -> spread list
-
 val plan : quick:bool -> Runner.Job.t list * (bytes list -> Report.row list)
 (** One job per (scenario, seed) pair, so a parallel runner can spread the
     seeds across workers; the merge rebuilds the per-scenario spreads from
-    the job payloads in submission order and yields the same rows as
-    {!run}. *)
+    the job payloads in submission order; a scenario's row holds only if
+    every seed starves the victim. *)

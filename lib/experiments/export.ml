@@ -1,3 +1,5 @@
+type table = { name : string; cols : string list; rows : float list list }
+
 let write_csv ~path ~cols rows =
   let oc = open_out path in
   Fun.protect
@@ -20,14 +22,9 @@ let series_to_rows ?(stride = 1) s =
     times;
   List.rev !rows
 
-let figures ~dir ~quick =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let written = ref [] in
-  let emit name cols rows =
-    let path = Filename.concat dir (name ^ ".csv") in
-    write_csv ~path ~cols rows;
-    written := path :: !written
-  in
+let tables ~quick =
+  let tables = ref [] and failures = ref [] in
+  let emit name cols rows = tables := { name; cols; rows } :: !tables in
   (* Figure 1: RTT trajectories. *)
   List.iter
     (fun (name, s) ->
@@ -64,7 +61,10 @@ let figures ~dir ~quick =
     (Exp_fig7.series ~quick ());
   (* Figures 4-6 from Theorem 1. *)
   (match Exp_theorem1.outcome ~quick () with
-  | Error _ -> ()
+  | Error e ->
+      failures :=
+        ("theorem1 construction failed, figures 4-6 not built: " ^ e)
+        :: !failures
   | Ok o ->
       emit "fig4_probes" [ "rate_mbps"; "d_max_s" ]
         (List.map
@@ -96,4 +96,13 @@ let figures ~dir ~quick =
     (List.map
        (fun (r : Core.Ambiguity.merit_row) -> [ r.jitter; r.s; r.vegas; r.exponential ])
        (Exp_alg1.merit_rows ()));
-  List.rev !written
+  (List.rev !tables, List.rev !failures)
+
+let write ~dir tables =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  List.map
+    (fun t ->
+      let path = Filename.concat dir (t.name ^ ".csv") in
+      write_csv ~path ~cols:t.cols t.rows;
+      path)
+    tables

@@ -6,8 +6,8 @@ type plan = {
 type experiment = {
   key : string;
   title : string;
+  backends : Fluid.Backend.t list;
   plan : quick:bool -> backend:Fluid.Backend.t -> plan;
-  run : quick:bool -> Report.row list;
 }
 
 let merge_solo key = function
@@ -18,26 +18,27 @@ let merge_solo key = function
            (List.length payloads))
 
 (* Experiments that have not been decomposed into per-simulation jobs run
-   as one job each: the whole [run] executes inside the job (its prints
-   are captured and replayed by the pool) and the rows come back as the
-   payload.  A packet-only experiment ignores the simulation backend —
-   it is the same computation under any [--backend], so its cache key
-   stays backend-free and caches naturally across backend selections. *)
-let solo key run =
+   as one job each: the whole experiment executes inside the job (its
+   prints are captured and replayed by the pool) and the rows come back
+   as the payload.  A packet-only experiment ignores the simulation
+   backend — it is the same computation under any [--backend], so it
+   accepts every backend and its cache key stays backend-free, caching
+   naturally across backend selections. *)
+let solo key title (run : ?quick:bool -> unit -> Report.row list) =
   let plan ~quick ~backend:_ =
     let job =
       Runner.Job.create
         ~key:(Printf.sprintf "%s/quick=%b" key quick)
-        (fun () -> run ~quick)
+        (fun () -> run ~quick ())
     in
     { jobs = [ job ]; merge = merge_solo key }
   in
-  plan
+  { key; title; backends = Fluid.Backend.all; plan }
 
 (* Backend-aware solo experiments: the backend changes the computation,
    so it must be part of the cache key — a cached packet run must never
    satisfy a [--backend fluid] request. *)
-let solo_backend key run =
+let solo_backend key title run =
   let plan ~quick ~backend =
     let job =
       Runner.Job.create
@@ -48,93 +49,70 @@ let solo_backend key run =
     in
     { jobs = [ job ]; merge = merge_solo key }
   in
-  plan
+  { key; title; backends = Fluid.Backend.all; plan }
 
 (* Experiments whose jobs carry raw measurements: the merge rebuilds the
    rows (and prints any experiment-specific tables) in the parent. *)
-let planned plan_fn ~quick ~backend:_ =
-  let jobs, merge = plan_fn ~quick in
-  { jobs; merge }
+let planned key title plan_fn =
+  let plan ~quick ~backend:_ =
+    let jobs, merge = plan_fn ~quick in
+    { jobs; merge }
+  in
+  { key; title; backends = Fluid.Backend.all; plan }
 
-(* As [planned], for experiments ported to the fluid/hybrid backends:
-   the planner receives the backend and embeds it in every job key. *)
-let planned_backend plan_fn ~quick ~backend =
-  let jobs, merge = plan_fn ~quick ~backend in
-  { jobs; merge }
+(* As [planned], for experiments ported to other backends: the planner
+   receives the backend and embeds it in every job key. *)
+let planned_backend key title plan_fn =
+  let plan ~quick ~backend =
+    let jobs, merge = plan_fn ~quick ~backend in
+    { jobs; merge }
+  in
+  { key; title; backends = Fluid.Backend.all; plan }
 
 let all =
   [
-    { key = "fig1"; title = "Figure 1: ideal-path delay convergence";
-      run = (fun ~quick -> Exp_fig1.run ~quick ());
-      plan = solo "fig1" (fun ~quick -> Exp_fig1.run ~quick ()) };
-    { key = "fig3"; title = "Figures 2-3: rate-delay maps";
-      run = (fun ~quick -> Exp_fig3.run ~quick ());
-      plan = solo "fig3" (fun ~quick -> Exp_fig3.run ~quick ()) };
-    { key = "copa"; title = "E1-E2: Copa min-RTT poisoning (sec. 5.1)";
-      run = (fun ~quick -> Exp_copa.run ~quick ());
-      plan = solo "copa" (fun ~quick -> Exp_copa.run ~quick ()) };
-    { key = "bbr"; title = "E3-E4: BBR starvation and +alpha ablation (sec. 5.2)";
-      run = (fun ~quick -> Exp_bbr.run ~quick ());
-      plan = solo "bbr" (fun ~quick -> Exp_bbr.run ~quick ()) };
-    { key = "vivace"; title = "E5: PCC Vivace ACK aggregation (sec. 5.3)";
-      run = (fun ~quick -> Exp_vivace.run ~quick ());
-      plan = solo "vivace" (fun ~quick -> Exp_vivace.run ~quick ()) };
-    { key = "fig7"; title = "Figure 7: Reno/Cubic delayed-ACK unfairness";
-      run = (fun ~quick -> Exp_fig7.run ~quick ());
-      plan = solo "fig7" (fun ~quick -> Exp_fig7.run ~quick ()) };
-    { key = "allegro"; title = "E6: PCC Allegro random loss (sec. 5.4)";
-      run = (fun ~quick -> Exp_allegro.run ~quick ());
-      plan = solo "allegro" (fun ~quick -> Exp_allegro.run ~quick ()) };
-    { key = "theorem1"; title = "E7 + Figures 4-6: Theorem 1 construction";
-      run = (fun ~quick -> Exp_theorem1.run ~quick ());
-      plan = solo "theorem1" (fun ~quick -> Exp_theorem1.run ~quick ()) };
-    { key = "theorem2"; title = "E8-E9: Theorems 2-3 constructions";
-      run = (fun ~quick -> Exp_theorem2.run ~quick ());
-      plan = solo "theorem2" (fun ~quick -> Exp_theorem2.run ~quick ()) };
-    { key = "alg1"; title = "E10-E11: Algorithm 1 and the figure of merit (sec. 6.3)";
-      run = (fun ~quick -> Exp_alg1.run ~quick ());
-      plan = solo "alg1" (fun ~quick -> Exp_alg1.run ~quick ()) };
-    { key = "ccac"; title = "E12: bounded model checking (appendix C)";
-      run = (fun ~quick -> Exp_ccac.run ~quick ());
-      plan = solo "ccac" (fun ~quick -> Exp_ccac.run ~quick ()) };
-    { key = "ecn"; title = "E13: explicit signaling avoids starvation (sec. 6.4)";
-      run = (fun ~quick -> Exp_ecn.run ~quick ());
-      plan = solo "ecn" (fun ~quick -> Exp_ecn.run ~quick ()) };
-    { key = "threshold"; title = "E14: starvation ratio vs jitter (the Theorem 1 boundary)";
-      run = (fun ~quick -> Exp_threshold.run ~quick ());
-      plan = planned_backend Exp_threshold.plan };
-    { key = "isolation"; title = "E15: DRR isolation vs the shared FIFO (conclusion)";
-      run = (fun ~quick -> Exp_isolation.run ~quick ());
-      plan = solo "isolation" (fun ~quick -> Exp_isolation.run ~quick ()) };
-    { key = "robustness"; title = "E16: seed robustness of the headline ratios";
-      run = (fun ~quick -> Exp_robustness.run ~quick ());
-      plan = planned Exp_robustness.plan };
-    { key = "matrix"; title = "E17: cross-CCA summary matrix";
-      run = (fun ~quick -> Exp_matrix.run ~quick ());
-      plan = planned Exp_matrix.plan };
-    { key = "faults"; title = "E18: fault-scenario matrix (recovery + invariants)";
-      run = (fun ~quick -> Exp_faults.run ~quick ());
-      plan = planned Exp_faults.plan };
-    { key = "census"; title = "E19: starvation census over a churning flow population";
-      run = (fun ~quick -> Exp_census.run ~quick ());
-      plan = planned_backend Exp_census.plan };
-    { key = "validate"; title = "V1-V6: validation oracles (queueing, conservation, equilibria, metamorphic, fuzz, fluid backend)";
-      run = (fun ~quick -> Exp_validate.run ~quick ());
-      plan =
-        solo_backend "validate" (fun ~quick ~backend ->
-            Exp_validate.run ~quick ~backend ()) };
+    solo "fig1" "Figure 1: ideal-path delay convergence" Exp_fig1.run;
+    solo "fig3" "Figures 2-3: rate-delay maps" Exp_fig3.run;
+    solo "copa" "E1-E2: Copa min-RTT poisoning (sec. 5.1)" Exp_copa.run;
+    solo "bbr" "E3-E4: BBR starvation and +alpha ablation (sec. 5.2)" Exp_bbr.run;
+    solo "vivace" "E5: PCC Vivace ACK aggregation (sec. 5.3)" Exp_vivace.run;
+    solo "fig7" "Figure 7: Reno/Cubic delayed-ACK unfairness" Exp_fig7.run;
+    solo "allegro" "E6: PCC Allegro random loss (sec. 5.4)" Exp_allegro.run;
+    solo "theorem1" "E7 + Figures 4-6: Theorem 1 construction" Exp_theorem1.run;
+    solo "theorem2" "E8-E9: Theorems 2-3 constructions" Exp_theorem2.run;
+    solo "alg1" "E10-E11: Algorithm 1 and the figure of merit (sec. 6.3)"
+      Exp_alg1.run;
+    solo "ccac" "E12: bounded model checking (appendix C)" Exp_ccac.run;
+    solo "ecn" "E13: explicit signaling avoids starvation (sec. 6.4)" Exp_ecn.run;
+    planned_backend "threshold"
+      "E14: starvation ratio vs jitter (the Theorem 1 boundary)"
+      Exp_threshold.plan;
+    solo "isolation" "E15: DRR isolation vs the shared FIFO (conclusion)"
+      Exp_isolation.run;
+    planned "robustness" "E16: seed robustness of the headline ratios"
+      Exp_robustness.plan;
+    planned "matrix" "E17: cross-CCA summary matrix" Exp_matrix.plan;
+    planned "faults" "E18: fault-scenario matrix (recovery + invariants)"
+      Exp_faults.plan;
+    {
+      (planned_backend "census"
+         "E19: starvation census over a churning flow population"
+         Exp_census.plan)
+      with
+      backends = [ Fluid.Backend.Packet; Fluid.Backend.Fluid ];
+    };
+    solo_backend "validate"
+      "V1-V6: validation oracles (queueing, conservation, equilibria, metamorphic, fuzz, fluid backend)"
+      (fun ~quick ~backend -> Exp_validate.run ~quick ~backend ());
   ]
 
 (* Experiments reachable by key but kept out of [all]: [selftest-fail]
    exists so the exit-code contract (quarantine => non-zero exit) can be
    asserted end to end against the real binary. *)
-let failing_run ~quick:_ : Report.row list =
-  failwith "selftest-fail: deliberate failure"
-
 let hidden =
   [
-    { key = "selftest-fail"; title = "hidden: deliberately failing job";
-      run = failing_run; plan = solo "selftest-fail" failing_run };
+    solo "selftest-fail" "hidden: deliberately failing job"
+      (fun ?quick:_ () -> failwith "selftest-fail: deliberate failure");
   ]
 
 let find key = List.find_opt (fun e -> e.key = key) (all @ hidden)
@@ -155,6 +133,23 @@ let select = function
              (String.concat ", " (keys ())))
       else Ok (List.filter_map find wanted)
 
+(* One place owns the backend contract too: an experiment runs only on
+   the substrates it declares, never on a silent stand-in. *)
+let supported backend experiments =
+  let name = Fluid.Backend.to_string in
+  match List.filter (fun e -> not (List.mem backend e.backends)) experiments with
+  | [] -> Ok experiments
+  | bad ->
+      Error
+        (String.concat "\n"
+           (List.map
+              (fun e ->
+                Printf.sprintf
+                  "experiment %s does not support backend %s (supported: %s)"
+                  e.key (name backend)
+                  (String.concat ", " (List.map name e.backends)))
+              bad))
+
 let rec take_drop n = function
   | rest when n = 0 -> ([], rest)
   | [] -> invalid_arg "Registry: fewer results than jobs"
@@ -165,6 +160,11 @@ let rec take_drop n = function
 let run_selection ?(quick = false) ?(backend = `Fork)
     ?(sim_backend = Fluid.Backend.Packet) ?(workers = 1) ?cache ?timeout
     ?policy ?journal ?(allow_failures = false) experiments =
+  let experiments =
+    match supported sim_backend experiments with
+    | Ok es -> es
+    | Error msg -> invalid_arg msg
+  in
   let plans =
     List.map (fun e -> (e, e.plan ~quick ~backend:sim_backend)) experiments
   in
@@ -238,6 +238,3 @@ let run_selection ?(quick = false) ?(backend = `Fork)
       ([], results) plans
   in
   (rows, stats)
-
-let run_all ?quick ?workers ?cache ?timeout () =
-  run_selection ?quick ?workers ?cache ?timeout all

@@ -1,15 +1,12 @@
 (** All experiments, keyed by the names the CLI and benchmark harness use.
 
-    Each experiment exposes two ways to execute:
-
-    - [run], the historical in-process entry point (used by tests and the
-      per-experiment CLI commands);
-    - [plan], which names the experiment's independent simulations as
-      {!Runner.Job.t} values plus a merge that rebuilds the report rows
-      from the job payloads.  Plans from several experiments can be
-      flattened into one {!Runner.Pool.run} call, which is how
-      [run_selection] parallelizes and caches whole-suite runs while
-      keeping the printed output byte-identical to the serial run. *)
+    An experiment executes one way: its [plan] names the independent
+    simulations as {!Runner.Job.t} values plus a merge that rebuilds the
+    report rows from the job payloads, and {!run_selection} runs plans.
+    Plans from several experiments are flattened into one
+    {!Runner.Pool.run} call, which is how whole-suite runs parallelize
+    and cache while the printed output stays byte-identical to the
+    serial run. *)
 
 type plan = {
   jobs : Runner.Job.t list;
@@ -22,13 +19,17 @@ type plan = {
 type experiment = {
   key : string;  (** CLI name, e.g. "copa" *)
   title : string;
+  backends : Fluid.Backend.t list;
+      (** The simulation backends [plan] accepts.  Packet-only
+          experiments accept every backend: they ignore it and compute
+          the same thing under any selection. *)
   plan : quick:bool -> backend:Fluid.Backend.t -> plan;
       (** [backend] selects the simulation substrate.  Experiments with a
           fluid/hybrid port embed it in their job keys (a cached packet
           result must never satisfy a fluid request); packet-only
           experiments ignore it and keep backend-free keys, so they cache
-          across backend selections. *)
-  run : quick:bool -> Report.row list;
+          across backend selections.  Only called with a backend in
+          [backends]. *)
 }
 
 val all : experiment list
@@ -45,6 +46,13 @@ val select : string list -> (experiment list, string) result
 (** Resolve CLI experiment names ([[]] means all).  The error for an
     unknown key names both the offending keys and every available one —
     the single message all front ends print. *)
+
+val supported :
+  Fluid.Backend.t -> experiment list -> (experiment list, string) result
+(** [Ok experiments] if every one accepts the backend; otherwise one
+    error line per experiment that does not, naming the experiment, the
+    backend and the backends it supports.  {!run_selection} applies the
+    same check before planning any job. *)
 
 val run_selection :
   ?quick:bool ->
@@ -80,14 +88,7 @@ val run_selection :
     stragglers.  With [allow_failures] a quarantine instead skips the
     whole owning experiment (notice on stderr, no rows) and the run
     completes; the quarantine still shows in the returned stats.
+    @raise Invalid_argument if an experiment does not support
+    [sim_backend] (see {!supported}); no job has run at that point.
     @raise Runner.Pool.Job_failed if a job raises or keeps crashing
     (unless [allow_failures]). *)
-
-val run_all :
-  ?quick:bool ->
-  ?workers:int ->
-  ?cache:Runner.Cache.t ->
-  ?timeout:float ->
-  unit ->
-  Report.row list * Runner.Pool.stats
-(** [run_selection] over every experiment. *)

@@ -1,7 +1,8 @@
 (* Tests for the experiment layer: the report formatting, the registry,
-   and the cheaper experiments end-to-end in quick mode.  The expensive
-   scenario experiments run as `Slow cases (picked up by `dune runtest`
-   but kept out of quick iteration via ALCOTEST_QUICK_TESTS). *)
+   and every registered experiment end-to-end in quick mode, through the
+   same plan-and-merge path `repro` runs.  The scenario experiments run
+   as `Slow cases (picked up by `dune runtest` but kept out of quick
+   iteration via ALCOTEST_QUICK_TESTS). *)
 
 let test_report_row () =
   let r =
@@ -35,20 +36,11 @@ let test_report_formatting () =
   Alcotest.(check string) "msec" "42.00 ms" (Experiments.Report.msec 0.042)
 
 let test_registry_complete () =
-  let keys = List.map (fun e -> e.Experiments.Registry.key) Experiments.Registry.all in
-  let expected =
+  Alcotest.(check (list string)) "every paper artifact and extension, in order"
     [ "fig1"; "fig3"; "copa"; "bbr"; "vivace"; "fig7"; "allegro"; "theorem1";
       "theorem2"; "alg1"; "ccac"; "ecn"; "threshold"; "isolation"; "robustness";
-      "matrix"; "faults"; "census" ]
-  in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) (k ^ " registered") true (List.mem k keys))
-    expected;
-  Alcotest.(check int) "no duplicates" (List.length keys)
-    (List.length (List.sort_uniq String.compare keys));
-  Alcotest.(check bool) "all paper artifacts plus extensions covered" true
-    (List.length keys >= 14)
+      "matrix"; "faults"; "census"; "validate" ]
+    (Experiments.Registry.keys ())
 
 let test_registry_find () =
   Alcotest.(check bool) "find copa" true (Experiments.Registry.find "copa" <> None);
@@ -85,9 +77,11 @@ let test_registry_select () =
         (Experiments.Registry.keys ())
 
 let test_registry_keys_round_trip_plan () =
-  (* Every advertised key must resolve through [select] and produce a
-     non-empty job plan under every backend — the contract `repro list`
-     relies on. *)
+  (* Every advertised key must resolve through [select] and, under every
+     backend it supports, produce a non-empty job plan — the contract
+     `repro list` relies on.  The one unsupported pair, census x hybrid,
+     must be refused with a message naming the experiment, the backend
+     and the backends the census does support. *)
   List.iter
     (fun key ->
       match Experiments.Registry.select [ key ] with
@@ -95,16 +89,45 @@ let test_registry_keys_round_trip_plan () =
       | Ok [ e ] ->
           List.iter
             (fun backend ->
-              let p = e.Experiments.Registry.plan ~quick:true ~backend in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s plans jobs under %s" key
-                   (Fluid.Backend.to_string backend))
-                true
-                (p.Experiments.Registry.jobs <> []))
+              let name = Fluid.Backend.to_string backend in
+              match Experiments.Registry.supported backend [ e ] with
+              | Ok _ ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s is supported under %s" key name)
+                    false
+                    (key = "census" && backend = Fluid.Backend.Hybrid);
+                  let p = e.Experiments.Registry.plan ~quick:true ~backend in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s plans jobs under %s" key name)
+                    true
+                    (p.Experiments.Registry.jobs <> [])
+              | Error msg ->
+                  Alcotest.(check (pair string string))
+                    "only census x hybrid is refused" ("census", "hybrid")
+                    (key, name);
+                  Alcotest.(check string) "refusal names all three"
+                    "experiment census does not support backend hybrid \
+                     (supported: packet, fluid)"
+                    msg)
             Fluid.Backend.all
       | Ok es ->
           Alcotest.failf "%s selected %d experiments" key (List.length es))
     (Experiments.Registry.keys ())
+
+(* The same refusal guards [run_selection] itself: nothing is planned or
+   run for an unsupported backend. *)
+let test_registry_rejects_unsupported_backend () =
+  match Experiments.Registry.select [ "census" ] with
+  | Error e -> Alcotest.fail e
+  | Ok es ->
+      Alcotest.check_raises "census x hybrid"
+        (Invalid_argument
+           "experiment census does not support backend hybrid (supported: \
+            packet, fluid)")
+        (fun () ->
+          ignore
+            (Experiments.Registry.run_selection ~quick:true
+               ~sim_backend:Fluid.Backend.Hybrid es))
 
 (* `repro list` must advertise exactly the registry: exercised against
    the real driver binary, same pattern as the exit-code tests in
@@ -155,25 +178,19 @@ let run_rows name rows =
         true r.Experiments.Report.ok)
     rows
 
-(* End-to-end experiment runs (quick mode). *)
-let test_exp_ccac () = run_rows "ccac" (Experiments.Exp_ccac.run ~quick:true ())
-let test_exp_fig1 () = run_rows "fig1" (Experiments.Exp_fig1.run ~quick:true ())
-let test_exp_copa () = run_rows "copa" (Experiments.Exp_copa.run ~quick:true ())
-let test_exp_bbr () = run_rows "bbr" (Experiments.Exp_bbr.run ~quick:true ())
-let test_exp_vivace () = run_rows "vivace" (Experiments.Exp_vivace.run ~quick:true ())
-let test_exp_fig7 () = run_rows "fig7" (Experiments.Exp_fig7.run ~quick:true ())
-let test_exp_fig3 () = run_rows "fig3" (Experiments.Exp_fig3.run ~quick:true ())
-let test_exp_theorem1 () = run_rows "theorem1" (Experiments.Exp_theorem1.run ~quick:true ())
-let test_exp_theorem2 () = run_rows "theorem2" (Experiments.Exp_theorem2.run ~quick:true ())
-let test_exp_alg1 () = run_rows "alg1" (Experiments.Exp_alg1.run ~quick:true ())
-let test_exp_allegro () = run_rows "allegro" (Experiments.Exp_allegro.run ~quick:true ())
-let test_exp_ecn () = run_rows "ecn" (Experiments.Exp_ecn.run ~quick:true ())
-let test_exp_threshold () = run_rows "threshold" (Experiments.Exp_threshold.run ~quick:true ())
-let test_exp_isolation () = run_rows "isolation" (Experiments.Exp_isolation.run ~quick:true ())
-let test_exp_robustness () = run_rows "robustness" (Experiments.Exp_robustness.run ~quick:true ())
-let test_exp_matrix () = run_rows "matrix" (Experiments.Exp_matrix.run ~quick:true ())
-let test_exp_faults () = run_rows "faults" (Experiments.Exp_faults.run ~quick:true ())
-let test_exp_census () = run_rows "census" (Experiments.Exp_census.run ~quick:true ())
+(* One end-to-end case per registered experiment (quick mode), run
+   serially through [run_selection] — the code `repro` runs.  Only the
+   model checker is fast enough for quick iteration. *)
+let end_to_end =
+  List.map
+    (fun e ->
+      let key = e.Experiments.Registry.key in
+      Alcotest.test_case key
+        (if key = "ccac" then `Quick else `Slow)
+        (fun () ->
+          run_rows key
+            (fst (Experiments.Registry.run_selection ~quick:true [ e ]))))
+    Experiments.Registry.all
 
 let test_series_to_rows_stride () =
   let s = Sim.Series.create () in
@@ -209,6 +226,25 @@ let test_export_csv () =
   close_in ic;
   Alcotest.(check string) "header" "a,b" header;
   Alcotest.(check string) "row" "1,2" first
+
+let test_export_write () =
+  let dir = Filename.temp_file "ccstarve" "" in
+  Sys.remove dir;
+  let table name rows =
+    { Experiments.Export.name; cols = [ "t"; "v" ]; rows }
+  in
+  let paths =
+    Experiments.Export.write ~dir
+      [ table "one" [ [ 0.; 1. ] ]; table "two" [ [ 0.; 2. ]; [ 1.; 3. ] ] ]
+  in
+  Alcotest.(check (list string)) "one file per table, in order"
+    [ Filename.concat dir "one.csv"; Filename.concat dir "two.csv" ]
+    paths;
+  let ic = open_in (Filename.concat dir "two.csv") in
+  let lines = List.init 3 (fun _ -> input_line ic) in
+  close_in ic;
+  Alcotest.(check (list string)) "header and rows" [ "t,v"; "0,2"; "1,3" ]
+    lines
 
 (* ------------------------------------------------------------------ *)
 (* ASCII plots                                                         *)
@@ -288,6 +324,8 @@ let () =
           Alcotest.test_case "select" `Quick test_registry_select;
           Alcotest.test_case "keys round-trip plan" `Quick
             test_registry_keys_round_trip_plan;
+          Alcotest.test_case "rejects unsupported backend" `Quick
+            test_registry_rejects_unsupported_backend;
           Alcotest.test_case "repro list" `Quick test_repro_list_smoke;
         ] );
       ( "static",
@@ -296,30 +334,15 @@ let () =
           Alcotest.test_case "poison trace legal" `Quick test_copa_poison_trace_is_legal;
         ] );
       ( "end-to-end",
-        [
-          Alcotest.test_case "ccac" `Quick test_exp_ccac;
-          Alcotest.test_case "fig1" `Slow test_exp_fig1;
-          Alcotest.test_case "copa" `Slow test_exp_copa;
-          Alcotest.test_case "bbr" `Slow test_exp_bbr;
-          Alcotest.test_case "vivace" `Slow test_exp_vivace;
-          Alcotest.test_case "fig7" `Slow test_exp_fig7;
-          Alcotest.test_case "fig3" `Slow test_exp_fig3;
-          Alcotest.test_case "theorem1" `Slow test_exp_theorem1;
-          Alcotest.test_case "theorem2" `Slow test_exp_theorem2;
-          Alcotest.test_case "alg1" `Slow test_exp_alg1;
-          Alcotest.test_case "allegro" `Slow test_exp_allegro;
-          Alcotest.test_case "ecn" `Slow test_exp_ecn;
-          Alcotest.test_case "threshold" `Slow test_exp_threshold;
-          Alcotest.test_case "threshold escalates" `Slow test_threshold_sweep_escalates;
-          Alcotest.test_case "isolation" `Slow test_exp_isolation;
-          Alcotest.test_case "robustness" `Slow test_exp_robustness;
-          Alcotest.test_case "matrix" `Slow test_exp_matrix;
-          Alcotest.test_case "faults" `Slow test_exp_faults;
-          Alcotest.test_case "census" `Slow test_exp_census;
-        ] );
+        end_to_end
+        @ [
+            Alcotest.test_case "threshold escalates" `Slow
+              test_threshold_sweep_escalates;
+          ] );
       ( "export",
         [
           Alcotest.test_case "csv" `Quick test_export_csv;
+          Alcotest.test_case "write" `Quick test_export_write;
           Alcotest.test_case "stride" `Quick test_series_to_rows_stride;
         ] );
       ( "ascii_plot",

@@ -554,11 +554,17 @@ let test_repro_allow_failures_downgrades () =
 (* Registry plans                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Job keys of every experiment that supports [backend]; the registry
+   never plans the others. *)
 let plan_keys ~quick ~backend =
   List.concat_map
     (fun e ->
-      List.map Runner.Job.key
-        (e.Experiments.Registry.plan ~quick ~backend).Experiments.Registry.jobs)
+      match Experiments.Registry.supported backend [ e ] with
+      | Error _ -> []
+      | Ok _ ->
+          List.map Runner.Job.key
+            (e.Experiments.Registry.plan ~quick ~backend)
+              .Experiments.Registry.jobs)
     Experiments.Registry.all
 
 let test_registry_plans_cover_all () =
@@ -592,9 +598,19 @@ let test_registry_job_keys_unique () =
    jobs must never share a key with its packet jobs (a cached packet
    result satisfying a --backend fluid request would silently void the
    cross-validation), while packet-only experiments keep backend-free
-   keys so their results cache across backend selections. *)
+   keys so their results cache across backend selections.  The census
+   has no hybrid port, so a hybrid selection including it is refused
+   rather than planned under a hybrid-labelled key. *)
 let test_registry_backend_keys_disjoint () =
   let packet = plan_keys ~quick:true ~backend:Fluid.Backend.Packet in
+  Alcotest.(check (result reject string))
+    "hybrid --all is refused for the census"
+    (Error
+       "experiment census does not support backend hybrid (supported: \
+        packet, fluid)")
+    (Result.map ignore
+       (Experiments.Registry.supported Fluid.Backend.Hybrid
+          Experiments.Registry.all));
   List.iter
     (fun backend ->
       let keys = plan_keys ~quick:true ~backend in

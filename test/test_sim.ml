@@ -1,129 +1,8 @@
-(* Tests for the simulation substrate: heap, event queue, rng, stats,
+(* Tests for the simulation substrate: event queue, rng, stats,
    series, jitter, link, flow and network integration. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_eps eps = Alcotest.(check (float eps))
-
-(* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_basic () =
-  let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  List.iter (Sim.Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  Alcotest.(check int) "size" 6 (Sim.Heap.size h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Sim.Heap.peek h);
-  Alcotest.(check (option int)) "pop" (Some 1) (Sim.Heap.pop h);
-  Alcotest.(check (option int)) "pop2" (Some 2) (Sim.Heap.pop h);
-  Alcotest.(check int) "size after" 4 (Sim.Heap.size h)
-
-let test_heap_pop_exn_empty () =
-  let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-  Alcotest.check_raises "empty pop_exn"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Sim.Heap.pop_exn h))
-
-let test_heap_clear () =
-  let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-  List.iter (Sim.Heap.push h) [ 3; 1; 2 ];
-  Sim.Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Sim.Heap.is_empty h);
-  Sim.Heap.push h 9;
-  Alcotest.(check (option int)) "usable after clear" (Some 9) (Sim.Heap.peek h)
-
-let test_heap_to_sorted_preserves () =
-  let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-  List.iter (Sim.Heap.push h) [ 4; 2; 7 ];
-  Alcotest.(check (list int)) "sorted" [ 2; 4; 7 ] (Sim.Heap.to_sorted_list h);
-  Alcotest.(check int) "unchanged" 3 (Sim.Heap.size h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-      List.iter (Sim.Heap.push h) xs;
-      let drained = Sim.Heap.to_sorted_list h in
-      drained = List.sort Int.compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~name:"heap peek is minimum under interleaved ops" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Sim.Heap.create ~dummy:0 ~cmp:Int.compare () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, x) ->
-          if is_push then begin
-            Sim.Heap.push h x;
-            model := x :: !model;
-            true
-          end
-          else begin
-            let expect =
-              match !model with
-              | [] -> None
-              | l -> Some (List.fold_left min max_int l)
-            in
-            let got = Sim.Heap.pop h in
-            (match got with
-            | Some v ->
-                let rec remove = function
-                  | [] -> []
-                  | y :: rest -> if y = v then rest else y :: remove rest
-                in
-                model := remove !model
-            | None -> ());
-            got = expect
-          end)
-        ops)
-
-(* Regression for a space leak: [pop] used to leave the popped root's
-   replacement duplicated in the vacated tail slot, pinning elements (and
-   anything their closures captured) until the slot was overwritten by a
-   later push.  A drained heap must not reach any popped element. *)
-let test_heap_pop_releases () =
-  let h =
-    Sim.Heap.create ~dummy:(ref 0) ~cmp:(fun a b -> Int.compare !a !b) ()
-  in
-  let n = 8 in
-  let w = Weak.create n in
-  for i = 0 to n - 1 do
-    let r = ref i in
-    Weak.set w i (Some r);
-    Sim.Heap.push h r
-  done;
-  while not (Sim.Heap.is_empty h) do
-    ignore (Sim.Heap.pop h)
-  done;
-  Gc.full_major ();
-  for i = 0 to n - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "element %d collected after drain" i)
-      true
-      (Weak.get w i = None)
-  done
-
-let test_heap_clear_releases () =
-  let h =
-    Sim.Heap.create ~dummy:(ref 0) ~cmp:(fun a b -> Int.compare !a !b) ()
-  in
-  let n = 8 in
-  let w = Weak.create n in
-  for i = 0 to n - 1 do
-    let r = ref i in
-    Weak.set w i (Some r);
-    Sim.Heap.push h r
-  done;
-  Sim.Heap.clear h;
-  Gc.full_major ();
-  for i = 0 to n - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "element %d collected after clear" i)
-      true
-      (Weak.get w i = None)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Event queue                                                         *)
@@ -2461,18 +2340,6 @@ let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "pop_exn empty" `Quick test_heap_pop_exn_empty;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "to_sorted preserves" `Quick test_heap_to_sorted_preserves;
-          Alcotest.test_case "pop releases elements" `Quick test_heap_pop_releases;
-          Alcotest.test_case "clear releases elements" `Quick
-            test_heap_clear_releases;
-          qt prop_heap_sorts;
-          qt prop_heap_interleaved;
-        ] );
       ( "event_queue",
         [
           Alcotest.test_case "ordering" `Quick test_eq_ordering;
