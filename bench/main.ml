@@ -96,12 +96,12 @@ let trivial_jobs n =
   List.init n (fun i ->
       Runner.Job.create ~key:(Printf.sprintf "bench/trivial/%d" i) (fun () -> i))
 
-let bench_pool_serial () = ignore (Runner.Pool.run (trivial_jobs 32))
+let bench_pool_serial () = ignore (Runner.Pool.run_results (trivial_jobs 32))
 
 let bench_pool_forked () =
   (* Dominated by fork + pipe roundtrips: the pool's fixed overhead,
      i.e. how small a job is still worth dispatching. *)
-  ignore (Runner.Pool.run ~workers:4 (trivial_jobs 32))
+  ignore (Runner.Pool.run_results ~workers:4 (trivial_jobs 32))
 
 let bench_small_sim () =
   let rate = Sim.Units.mbps 12. in
@@ -183,8 +183,8 @@ let pool_speedup () =
     ignore (f ());
     Unix.gettimeofday () -. t0
   in
-  let serial = time (fun () -> Runner.Pool.run jobs) in
-  let forked = time (fun () -> Runner.Pool.run ~workers:4 jobs) in
+  let serial = time (fun () -> Runner.Pool.run_results jobs) in
+  let forked = time (fun () -> Runner.Pool.run_results ~workers:4 jobs) in
   Printf.printf "\n== Runner pool speedup (%d E18-quick jobs, %d cores) ==\n"
     (List.length jobs)
     (Runner.Pool.default_workers ());

@@ -3,11 +3,13 @@ let rm = 0.04
 
 let head_to_head ~make_cca ~ecn ~duration =
   let buffer = Sim.Units.bdp_bytes ~rate ~rtt:rm in
-  let ecn_threshold = if ecn then Some (buffer / 4) else None in
+  let aqm =
+    if ecn then Some (Sim.Aqm.threshold ~mark_above:(buffer / 4)) else None
+  in
   let net =
     Sim.Network.run_config
-      (Sim.Network.config ~rate:(Sim.Link.Constant rate) ~buffer ?ecn_threshold
-         ~rm ~duration
+      (Sim.Network.config ~rate:(Sim.Link.Constant rate) ~buffer ?aqm ~rm
+         ~duration
          [
            Sim.Network.flow ~loss_rate:0.02 (make_cca ());
            Sim.Network.flow (make_cca ());

@@ -4,7 +4,7 @@
     simulations as {!Runner.Job.t} values plus a merge that rebuilds the
     report rows from the job payloads, and {!run_selection} runs plans.
     Plans from several experiments are flattened into one
-    {!Runner.Pool.run} call, which is how whole-suite runs parallelize
+    {!Runner.Supervise.run} call, which is how whole-suite runs parallelize
     and cache while the printed output stays byte-identical to the
     serial run. *)
 
@@ -56,39 +56,34 @@ val supported :
 
 val run_selection :
   ?quick:bool ->
-  ?backend:Runner.Pool.backend ->
   ?sim_backend:Fluid.Backend.t ->
   ?workers:int ->
   ?cache:Runner.Cache.t ->
-  ?timeout:float ->
   ?policy:Runner.Supervise.policy ->
   ?journal:string ->
   ?allow_failures:bool ->
   experiment list ->
   Report.row list * Runner.Pool.stats
-(** Run the given experiments through one job pool ([workers] defaults to
-    1 = serial in-process), printing each experiment's output and table in
-    registry order; returns the concatenated rows and the pool counters.
-    Output is byte-identical for any worker count and for cached re-runs.
+(** Run the given experiments as one {!Runner.Supervise.run} matrix
+    ([workers] defaults to 1 = serial in-process), printing each
+    experiment's output and table in registry order; returns the
+    concatenated rows and the pool counters.  Output is byte-identical
+    for any worker count and for cached re-runs.
 
-    [backend] selects how [workers >= 2] are realized (see
-    {!Runner.Pool.backend}); [`Domain] runs the plain unsupervised pool
-    regardless of [policy]/[journal], since supervision is built on the
-    process boundary.  [sim_backend] (default [Packet]) is the simulation
-    substrate handed to each experiment's plan — the [repro --backend]
-    flag.
-
-    Giving [policy] and/or [journal] routes the matrix through
-    {!Runner.Supervise.run}: per-attempt deadlines and heap ceilings,
-    retries with backoff, failure records, and journal-based resume
-    (jobs journaled done with intact cache entries are replayed, not
-    re-executed).  The merge layer needs every payload, so a quarantined
-    job still raises — but only after the rest of the matrix completed
-    and cached its results, so a subsequent run re-executes only the
+    [sim_backend] (default [Packet]) is the simulation substrate handed
+    to each experiment's plan — the [repro --backend] flag.  [policy]
+    (default {!Runner.Supervise.default_policy}) sets per-attempt
+    deadlines and heap ceilings — either one runs the jobs in forked
+    workers, even at [workers = 1] — and retries with backoff.  With a
+    [cache], quarantines leave failure records; with a [journal], jobs
+    journaled done with intact cache entries are replayed, not
+    re-executed.  The merge layer needs every payload, so a quarantined
+    job raises — but only after the rest of the matrix completed and
+    cached its results, so a subsequent run re-executes only the
     stragglers.  With [allow_failures] a quarantine instead skips the
     whole owning experiment (notice on stderr, no rows) and the run
     completes; the quarantine still shows in the returned stats.
     @raise Invalid_argument if an experiment does not support
     [sim_backend] (see {!supported}); no job has run at that point.
-    @raise Runner.Pool.Job_failed if a job raises or keeps crashing
-    (unless [allow_failures]). *)
+    @raise Runner.Pool.Job_failed if a job is quarantined (unless
+    [allow_failures]). *)

@@ -24,10 +24,12 @@
 
 type policy = {
   max_attempts : int;  (** total attempts before quarantine (default 3) *)
-  deadline : float option;  (** per-attempt wall-clock seconds (workers only) *)
+  deadline : float option;
+      (** per-attempt wall-clock seconds; setting it runs every job in a
+          forked worker, even at [workers = 1] *)
   heap_ceiling_words : int option;
-      (** per-job major-heap bound (workers only); exceeding it
-          quarantines without retry *)
+      (** per-job major-heap bound, enforced in forked workers like
+          [deadline]; exceeding it quarantines without retry *)
   backoff_base : float;  (** first retry delay, seconds (default 0.05) *)
   backoff_max : float;  (** backoff cap, seconds (default 2.0) *)
   sleep : float -> unit;

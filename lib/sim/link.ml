@@ -422,16 +422,7 @@ and on_complete t =
   t.on_dequeue served;
   start_service t
 
-let create ~eq ~rate ?buffer ?ecn_threshold ?aqm ?(discipline = Fifo) ~record_queue
-    () =
-  let aqm =
-    match (aqm, ecn_threshold) with
-    | Some _, Some _ ->
-        invalid_arg "Link.create: give either ecn_threshold or aqm, not both"
-    | Some a, None -> Some a
-    | None, Some th -> Some (Aqm.threshold ~mark_above:th)
-    | None, None -> None
-  in
+let create ~eq ~rate ?buffer ?aqm ?(discipline = Fifo) ~record_queue () =
   let t =
     {
       eq;

@@ -60,18 +60,16 @@ val cellular_trace :
 type t
 
 val create :
-  eq:Event_queue.t -> rate:rate -> ?buffer:int -> ?ecn_threshold:int ->
-  ?aqm:Aqm.t -> ?discipline:discipline -> record_queue:bool -> unit -> t
+  eq:Event_queue.t -> rate:rate -> ?buffer:int -> ?aqm:Aqm.t ->
+  ?discipline:discipline -> record_queue:bool -> unit -> t
 (** [buffer] is the queue capacity in bytes (including the packet in
     service); omit it for the paper's ideal unbounded queue.  When
     [record_queue] is set, the occupancy is logged to a series on every
     enqueue/dequeue.
 
-    ECN (sec. 6.4): [ecn_threshold] installs the paper's simple
-    threshold AQM (mark arrivals above that many queued bytes); [aqm]
-    installs an arbitrary {!Aqm} discipline (RED, CoDel).  Give at most
-    one.  Unlike delay or loss, the CE mark is an unambiguous congestion
-    signal. *)
+    ECN (sec. 6.4): [aqm] installs a marking discipline — the paper's
+    simple threshold ({!Aqm.threshold}), RED or CoDel.  Unlike delay or
+    loss, the CE mark is an unambiguous congestion signal. *)
 
 val set_on_dequeue : t -> (Packet.t -> unit) -> unit
 (** Called when a packet finishes transmission.  Must be set before any

@@ -42,7 +42,6 @@ let flow ?(start_time = 0.) ?stop_time ?(extra_rm = 0.) ?(jitter = Jitter.No_jit
 type config = {
   rate : Link.rate;
   buffer : int option;
-  ecn_threshold : int option;
   aqm : Aqm.t option;
   discipline : Link.discipline;
   rm : float;
@@ -57,7 +56,7 @@ type config = {
   backend : Event_queue.backend;
 }
 
-let config ~rate ?buffer ?ecn_threshold ?aqm ?(discipline = Link.Fifo) ~rm
+let config ~rate ?buffer ?aqm ?(discipline = Link.Fifo) ~rm
     ?(seed = 42) ?(record_queue = false) ?(initial_queue_bytes = 0) ?(t0 = 0.)
     ?(faults = Fault.none) ?monitor_period ?(backend = Event_queue.Wheel)
     ~duration flows =
@@ -94,7 +93,7 @@ let config ~rate ?buffer ?ecn_threshold ?aqm ?(discipline = Link.Fifo) ~rm
           invalid_arg "Network.config: stop_time before start_time"
       | Some _ | None -> ())
     flows;
-  { rate; buffer; ecn_threshold; aqm; discipline; rm; flows; t0; duration; seed;
+  { rate; buffer; aqm; discipline; rm; flows; t0; duration; seed;
     record_queue; initial_queue_bytes; faults; monitor_period; backend }
 
 (* Per-flow delayed-ACK accumulator.  [count] mirrors the length of
@@ -173,7 +172,7 @@ let build cfg =
   let master_rng = Rng.create ~seed:cfg.seed in
   let effective_rate = Fault.compile_rate cfg.faults cfg.rate in
   let link = Link.create ~eq ~rate:effective_rate ?buffer:cfg.buffer
-      ?ecn_threshold:cfg.ecn_threshold ?aqm:cfg.aqm ~discipline:cfg.discipline
+      ?aqm:cfg.aqm ~discipline:cfg.discipline
       ~record_queue:cfg.record_queue () in
   let n = List.length cfg.flows in
   let specs = Array.of_list cfg.flows in

@@ -54,10 +54,9 @@ val flow : ?start_time:float -> ?stop_time:float -> ?extra_rm:float ->
 type config = {
   rate : Link.rate;
   buffer : int option;  (** bottleneck buffer, bytes; [None] = unbounded *)
-  ecn_threshold : int option;
-      (** queue depth (bytes) above which arriving packets are CE-marked
-          (sec. 6.4 explicit signaling); [None] disables ECN *)
-  aqm : Aqm.t option;  (** alternatively, a full {!Aqm} discipline *)
+  aqm : Aqm.t option;
+      (** ECN marking at the bottleneck (sec. 6.4 explicit signaling),
+          e.g. {!Aqm.threshold}; [None] disables ECN *)
   discipline : Link.discipline;
       (** queue scheduling: shared FIFO (the §3 model) or DRR per-flow
           isolation (the conclusion's "stronger isolation") *)
@@ -87,7 +86,7 @@ type config = {
 }
 
 val config :
-  rate:Link.rate -> ?buffer:int -> ?ecn_threshold:int -> ?aqm:Aqm.t ->
+  rate:Link.rate -> ?buffer:int -> ?aqm:Aqm.t ->
   ?discipline:Link.discipline -> rm:float -> ?seed:int -> ?record_queue:bool ->
   ?initial_queue_bytes:int -> ?t0:float -> ?faults:Fault.plan ->
   ?monitor_period:float -> ?backend:Event_queue.backend ->

@@ -15,6 +15,11 @@
     except for Reno's Bernoulli loss, which is seeded) and reports
     {!Oracle.verdict}s. *)
 
+val mean_queue_bytes : Sim.Network.t -> t0:float -> t1:float -> float
+(** Time-average bottleneck queue occupancy (bytes) over [[t0, t1]]: the
+    exact integral of the link's recorded queue series (the network must
+    run with [record_queue]), not an event-weighted mean. *)
+
 val reno_loss_law : ?seed:int -> unit -> Oracle.verdict list
 (** Single Reno flow, 2% i.i.d. loss, a link fast enough that queueing
     is negligible.  Judges measured goodput against the square-root law

@@ -28,9 +28,6 @@ let kind_cca = function
 
 let z = 5.
 
-let mean_queue_bytes net ~t0 ~t1 =
-  Series.integral (Link.queue_series (Network.link net)) ~t0 ~t1 /. (t1 -. t0)
-
 (* Standard error of a windowed packet measurement, from [k] disjoint
    subintervals — the statistical half of the z=5 band. *)
 let stderr_of ~t0 ~t1 ~k f =
@@ -82,7 +79,7 @@ let agreement_kind ?(seed = 7) ?(rate = Units.mbps 20.) ?(rm = Units.ms 40.)
       (Network.throughput net ~flow:0 ~t0 ~t1)
       (Network.throughput net ~flow:1 ~t0 ~t1)
   in
-  let queue_p = mean_queue_bytes net ~t0 ~t1 in
+  let queue_p = Equilibrium.mean_queue_bytes net ~t0 ~t1 in
   let law = kind_law kind in
   let eng =
     Fluid.Engine.run_config
@@ -104,7 +101,7 @@ let agreement_kind ?(seed = 7) ?(rate = Units.mbps 20.) ?(rm = Units.ms 40.)
           (Network.throughput net ~flow:0 ~t0 ~t1)
           (Network.throughput net ~flow:1 ~t0 ~t1))
   in
-  let queue_se = stderr_of ~t0 ~t1 ~k:8 (mean_queue_bytes net) in
+  let queue_se = stderr_of ~t0 ~t1 ~k:8 (Equilibrium.mean_queue_bytes net) in
   let mss = 1500. in
   (* Model-granularity floors, per CCA (two flows share the queue). *)
   let queue_floor =

@@ -129,6 +129,62 @@ let test_registry_rejects_unsupported_backend () =
             (Experiments.Registry.run_selection ~quick:true
                ~sim_backend:Fluid.Backend.Hybrid es))
 
+(* A one-job experiment built outside the registry, so [run_selection]'s
+   single supervised path can be driven with jobs that fail on purpose. *)
+let one_job_experiment key (f : unit -> int) =
+  {
+    Experiments.Registry.key;
+    title = "test " ^ key;
+    backends = Fluid.Backend.all;
+    plan =
+      (fun ~quick:_ ~backend:_ ->
+        {
+          Experiments.Registry.jobs = [ Runner.Job.create ~key f ];
+          merge =
+            List.map (fun b ->
+                Experiments.Report.row ~id:key ~label:"payload" ~paper:"42"
+                  ~measured:(string_of_int (Runner.Job.decode b))
+                  ~ok:true);
+        });
+  }
+
+(* No [~policy]: the default policy still retries a job that fails once
+   (the marker file records the first attempt). *)
+let test_run_selection_retries_by_default () =
+  let marker = Filename.temp_file "registry_flaky" ".marker" in
+  Sys.remove marker;
+  let flaky () =
+    if not (Sys.file_exists marker) then begin
+      Out_channel.with_open_bin marker (fun oc ->
+          Out_channel.output_string oc "x");
+      failwith "flaky: first attempt"
+    end;
+    42
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
+    (fun () ->
+      let rows, stats =
+        Experiments.Registry.run_selection ~workers:1
+          [ one_job_experiment "test/flaky" flaky ]
+      in
+      Alcotest.(check (list string)) "merged the retried payload" [ "42" ]
+        (List.map (fun r -> r.Experiments.Report.measured) rows);
+      Alcotest.(check int) "retried once" 1 stats.Runner.Pool.retried)
+
+(* No [~policy]: [allow_failures] still skips the experiment instead of
+   raising. *)
+let test_run_selection_allow_failures_by_default () =
+  let rows, stats =
+    Experiments.Registry.run_selection ~workers:1 ~allow_failures:true
+      [
+        one_job_experiment "test/broken" (fun () ->
+            failwith "test/broken: always fails");
+      ]
+  in
+  Alcotest.(check int) "experiment skipped, no rows" 0 (List.length rows);
+  Alcotest.(check int) "quarantine counted" 1 stats.Runner.Pool.quarantined
+
 (* `repro list` must advertise exactly the registry: exercised against
    the real driver binary, same pattern as the exit-code tests in
    test_runner. *)
@@ -327,6 +383,10 @@ let () =
           Alcotest.test_case "rejects unsupported backend" `Quick
             test_registry_rejects_unsupported_backend;
           Alcotest.test_case "repro list" `Quick test_repro_list_smoke;
+          Alcotest.test_case "run_selection retries by default" `Quick
+            test_run_selection_retries_by_default;
+          Alcotest.test_case "run_selection allow_failures by default" `Quick
+            test_run_selection_allow_failures_by_default;
         ] );
       ( "static",
         [

@@ -1,6 +1,7 @@
 (* Tests for the parallel job runner: pool determinism across worker
    counts, stdout capture and replay, the on-disk cache, and failure
-   handling (job exceptions, crashed workers, timeouts). *)
+   handling (job exceptions, crashed workers, timeouts) under
+   supervision. *)
 
 let job i =
   Runner.Job.create
@@ -15,6 +16,31 @@ let jobs n = List.init n job
 
 let decoded results =
   List.map (fun (out, b) -> (out, (Runner.Job.decode b : int))) results
+
+(* [Pool.run_results] for jobs expected to succeed. *)
+let run ?workers ?cache js =
+  let results, stats = Runner.Pool.run_results ?workers ?cache js in
+  ( List.map
+      (function
+        | out, Ok payload -> (out, payload)
+        | _, Error reason -> Alcotest.fail reason)
+      results,
+    stats )
+
+(* No-sleep policy so retry tests don't wait out real backoff. *)
+let test_policy ?deadline ?heap_ceiling_words ?(max_attempts = 3) () =
+  {
+    Runner.Supervise.default_policy with
+    max_attempts;
+    deadline;
+    heap_ceiling_words;
+    sleep = (fun _ -> ());
+  }
+
+let contains needle s =
+  let n = String.length needle and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = needle || at (i + 1)) in
+  at 0
 
 let fresh_dir prefix =
   let d =
@@ -40,7 +66,7 @@ let rec rm_rf dir =
 (* ------------------------------------------------------------------ *)
 
 let test_serial_order_and_stats () =
-  let results, stats = Runner.Pool.run (jobs 7) in
+  let results, stats = run (jobs 7) in
   let vals = List.map snd (decoded results) in
   Alcotest.(check (list int)) "results in job order"
     [ 0; 1; 4; 9; 16; 25; 36 ] vals;
@@ -50,7 +76,7 @@ let test_serial_order_and_stats () =
   Alcotest.(check int) "respawns" 0 stats.Runner.Pool.respawns
 
 let test_serial_captures_stdout () =
-  let results, _ = Runner.Pool.run [ job 5 ] in
+  let results, _ = run [ job 5 ] in
   match results with
   | [ (out, _) ] ->
       Alcotest.(check string) "captured text" "job 5 starts\n..\njob 5 done\n" out
@@ -61,85 +87,23 @@ let test_serial_captures_stdout () =
 (* ------------------------------------------------------------------ *)
 
 let test_parallel_matches_serial () =
-  let serial, _ = Runner.Pool.run (jobs 20) in
-  let parallel, stats = Runner.Pool.run ~workers:4 (jobs 20) in
+  let serial, _ = run (jobs 20) in
+  let parallel, stats = run ~workers:4 (jobs 20) in
   Alcotest.(check (list (pair string int)))
     "same (stdout, result) in same order" (decoded serial) (decoded parallel);
   Alcotest.(check int) "executed" 20 stats.Runner.Pool.executed;
   Alcotest.(check int) "respawns" 0 stats.Runner.Pool.respawns
 
 let test_more_workers_than_jobs () =
-  let results, stats = Runner.Pool.run ~workers:16 (jobs 3) in
+  let results, stats = run ~workers:16 (jobs 3) in
   Alcotest.(check (list int)) "results" [ 0; 1; 4 ]
     (List.map snd (decoded results));
   Alcotest.(check int) "executed" 3 stats.Runner.Pool.executed
 
 let test_empty_job_list () =
-  let results, stats = Runner.Pool.run ~workers:4 [] in
+  let results, stats = run ~workers:4 [] in
   Alcotest.(check int) "no results" 0 (List.length results);
   Alcotest.(check int) "no jobs" 0 stats.Runner.Pool.jobs
-
-(* ------------------------------------------------------------------ *)
-(* Domain backend                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The domain backend serves silent jobs; payloads must match the fork
-   and serial paths result-for-result, in job order. *)
-let silent_job i =
-  Runner.Job.create ~key:(Printf.sprintf "t/silent/%d" i) (fun () -> i * i + 1)
-
-let silent_jobs n = List.init n silent_job
-
-let test_domain_matches_fork () =
-  let serial, _ = Runner.Pool.run (silent_jobs 20) in
-  let forked, _ = Runner.Pool.run ~workers:4 (silent_jobs 20) in
-  let domains, stats =
-    Runner.Pool.run ~backend:`Domain ~workers:4 (silent_jobs 20)
-  in
-  let vals rs = List.map (fun (_, b) -> (Runner.Job.decode b : int)) rs in
-  Alcotest.(check (list int)) "domain matches serial" (vals serial) (vals domains);
-  Alcotest.(check (list int)) "domain matches fork" (vals forked) (vals domains);
-  Alcotest.(check (list string)) "silent jobs stay silent"
-    (List.map fst serial)
-    (List.map fst domains);
-  Alcotest.(check int) "executed" 20 stats.Runner.Pool.executed;
-  Alcotest.(check int) "no respawns" 0 stats.Runner.Pool.respawns
-
-let test_domain_job_exception () =
-  let bad =
-    Runner.Job.create ~key:"t/domain/bad" (fun () -> failwith "boom")
-  in
-  let results, stats =
-    Runner.Pool.run_results ~backend:`Domain ~workers:2
-      [ silent_job 1; bad; silent_job 2 ]
-  in
-  (match results with
-  | [ (_, Ok a); (_, Error reason); (_, Ok b) ] ->
-      Alcotest.(check int) "first" 2 (Runner.Job.decode a : int);
-      Alcotest.(check int) "third" 5 (Runner.Job.decode b : int);
-      Alcotest.(check bool) "reason mentions boom" true
-        (String.length reason > 0)
-  | _ -> Alcotest.fail "expected Ok/Error/Ok in job order");
-  Alcotest.(check int) "two executed" 2 stats.Runner.Pool.executed
-
-let test_domain_fills_cache () =
-  let dir = fresh_dir "ccstarve_domain_cache" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let cache = Runner.Cache.create ~dir () in
-      let _, s1 =
-        Runner.Pool.run ~backend:`Domain ~workers:4 ~cache (silent_jobs 8)
-      in
-      Alcotest.(check int) "first run executes" 8 s1.Runner.Pool.executed;
-      (* A fork re-run must be served entirely from the domain-filled
-         cache — the two backends share one result representation. *)
-      let results, s2 = Runner.Pool.run ~workers:4 ~cache (silent_jobs 8) in
-      Alcotest.(check int) "rerun all hits" 8 s2.Runner.Pool.cache_hits;
-      Alcotest.(check int) "rerun executes nothing" 0 s2.Runner.Pool.executed;
-      Alcotest.(check (list int)) "payloads intact"
-        (List.map (fun i -> (i * i) + 1) (List.init 8 Fun.id))
-        (List.map (fun (_, b) -> (Runner.Job.decode b : int)) results))
 
 (* ------------------------------------------------------------------ *)
 (* Failure handling                                                    *)
@@ -149,26 +113,45 @@ let test_job_exception_serial () =
   let bad =
     Runner.Job.create ~key:"t/raise" (fun () -> if true then failwith "boom" else 0)
   in
-  match Runner.Pool.run [ job 1; bad ] with
-  | exception Runner.Pool.Job_failed { key; reason } ->
-      Alcotest.(check string) "failing key" "t/raise" key;
-      Alcotest.(check bool) "reason mentions boom" true
-        (String.length reason > 0)
-  | _ -> Alcotest.fail "expected Job_failed"
+  match Runner.Pool.run_results [ job 1; bad ] with
+  | [ (_, Ok _); (_, Error reason) ], stats ->
+      Alcotest.(check bool) "reason mentions boom" true (contains "boom" reason);
+      Alcotest.(check int) "one executed" 1 stats.Runner.Pool.executed
+  | _ -> Alcotest.fail "expected Ok then Error"
 
 let test_job_exception_parallel () =
   let bad =
     Runner.Job.create ~key:"t/raise-par" (fun () -> if true then failwith "boom" else 0)
   in
-  match Runner.Pool.run ~workers:2 [ job 1; bad; job 2 ] with
-  | exception Runner.Pool.Job_failed { key; _ } ->
-      Alcotest.(check string) "failing key" "t/raise-par" key
-  | _ -> Alcotest.fail "expected Job_failed"
+  match Runner.Pool.run_results ~workers:2 [ job 1; bad; job 2 ] with
+  | [ (_, Ok a); (_, Error reason); (_, Ok b) ], stats ->
+      Alcotest.(check (list int)) "siblings complete" [ 1; 4 ]
+        [ Runner.Job.decode a; Runner.Job.decode b ];
+      Alcotest.(check bool) "reason mentions boom" true (contains "boom" reason);
+      Alcotest.(check int) "worker survives a raising job" 0
+        stats.Runner.Pool.respawns
+  | _ -> Alcotest.fail "expected Ok/Error/Ok in job order"
+
+(* Crashing jobs need >= 2 workers (or a deadline) so the suicide happens
+   in a forked child, never in the test process. *)
+let always_dies key =
+  Runner.Job.create ~key (fun () ->
+      Unix.kill (Unix.getpid ()) Sys.sigkill;
+      0)
+
+let test_crash_is_an_error () =
+  (* The pool itself never retries: the worker is respawned and the job
+     comes back as [Error] for the supervisor to judge. *)
+  match Runner.Pool.run_results ~workers:2 [ job 1; always_dies "t/dies-once" ] with
+  | [ (_, Ok _); (_, Error reason) ], stats ->
+      Alcotest.(check bool) "reason names the crash" true
+        (contains "exited unexpectedly" reason);
+      Alcotest.(check int) "one respawn" 1 stats.Runner.Pool.respawns
+  | _ -> Alcotest.fail "expected Ok then Error"
 
 let test_crashed_worker_respawns () =
   (* The job SIGKILLs its own worker on the first attempt (marker file
-     absent) and succeeds on the retry.  Requires >= 2 workers so the
-     suicide happens in a forked child, never in the test process. *)
+     absent) and succeeds on the supervised retry. *)
   let marker = Filename.temp_file "runner_crash" ".marker" in
   Sys.remove marker;
   let suicidal =
@@ -183,37 +166,53 @@ let test_crashed_worker_respawns () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
     (fun () ->
-      let results, stats =
-        Runner.Pool.run ~workers:2 [ job 1; suicidal; job 2 ]
+      let outcomes, stats =
+        Runner.Supervise.run ~workers:2 ~policy:(test_policy ())
+          [ job 1; suicidal; job 2 ]
       in
       Alcotest.(check (list int)) "all results present" [ 1; 42; 4 ]
-        (List.map snd (decoded results));
-      Alcotest.(check bool) "respawned at least once" true
-        (stats.Runner.Pool.respawns >= 1))
+        (List.map
+           (function
+             | Runner.Supervise.Done { payload; _ } -> Runner.Job.decode payload
+             | Runner.Supervise.Quarantined { reason; _ } -> Alcotest.fail reason)
+           outcomes);
+      Alcotest.(check int) "respawned once" 1 stats.Runner.Pool.respawns;
+      Alcotest.(check int) "retried once" 1 stats.Runner.Pool.retried)
 
 let test_persistent_crash_fails () =
-  let suicidal =
-    Runner.Job.create ~key:"t/always-dies" (fun () ->
-        Unix.kill (Unix.getpid ()) Sys.sigkill;
-        0)
-  in
-  match Runner.Pool.run ~workers:2 ~max_attempts:2 [ suicidal ] with
-  | exception Runner.Pool.Job_failed { key; _ } ->
-      Alcotest.(check string) "failing key" "t/always-dies" key
-  | _ -> Alcotest.fail "expected Job_failed"
+  match
+    Runner.Supervise.run ~workers:2
+      ~policy:(test_policy ~max_attempts:2 ())
+      [ always_dies "t/always-dies" ]
+  with
+  | [ Runner.Supervise.Quarantined { history; _ } ], stats ->
+      Alcotest.(check int) "every attempt recorded" 2 (List.length history);
+      Alcotest.(check int) "a respawn per attempt" 2 stats.Runner.Pool.respawns
+  | _ -> Alcotest.fail "expected Quarantined"
+
+let sleeper ~key secs =
+  Runner.Job.create ~key (fun () ->
+      Unix.sleepf secs;
+      0)
+
+let expect_timeout ~workers ~deadline job =
+  match
+    Runner.Supervise.run ~workers
+      ~policy:(test_policy ~deadline ~max_attempts:1 ())
+      [ job ]
+  with
+  | [ Runner.Supervise.Quarantined { reason; _ } ], _ ->
+      Alcotest.(check bool) "reason names the timeout" true
+        (contains "timed out" reason)
+  | _ -> Alcotest.fail "expected Quarantined"
 
 let test_timeout_kills_stuck_worker () =
-  let stuck =
-    Runner.Job.create ~key:"t/stuck" (fun () ->
-        Unix.sleep 30;
-        0)
-  in
-  match Runner.Pool.run ~workers:2 ~timeout:0.4 ~max_attempts:1 [ stuck ] with
-  | exception Runner.Pool.Job_failed { key; reason } ->
-      Alcotest.(check string) "failing key" "t/stuck" key;
-      Alcotest.(check bool) "reason mentions timeout" true
-        (String.length reason > 0)
-  | _ -> Alcotest.fail "expected Job_failed"
+  expect_timeout ~workers:2 ~deadline:0.4 (sleeper ~key:"t/stuck" 30.)
+
+(* A deadline is not a hint for parallel runs only: at one worker the
+   jobs move to a forked worker so the deadline can kill them. *)
+let test_deadline_at_one_worker () =
+  expect_timeout ~workers:1 ~deadline:0.3 (sleeper ~key:"t/slow-serial" 3.)
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
@@ -253,7 +252,7 @@ let test_cache_version_invalidates () =
 
 let run_with_cache ~dir ~workers n =
   let cache = Runner.Cache.create ~dir ~version:"test" () in
-  Runner.Pool.run ~workers ~cache (jobs n)
+  run ~workers ~cache (jobs n)
 
 let test_cached_rerun_executes_nothing () =
   let dir = fresh_dir "runner_cache_pool" in
@@ -325,18 +324,8 @@ let test_truncated_cache_entry_recomputed () =
 (* Supervision                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* No-sleep policy so retry tests don't wait out real backoff. *)
-let test_policy ?deadline ?heap_ceiling_words ?(max_attempts = 3) () =
-  {
-    Runner.Supervise.default_policy with
-    max_attempts;
-    deadline;
-    heap_ceiling_words;
-    sleep = (fun _ -> ());
-  }
-
 let test_supervise_matches_plain () =
-  let plain, _ = Runner.Pool.run (jobs 6) in
+  let plain, _ = run (jobs 6) in
   let outcomes, stats =
     Runner.Supervise.run ~policy:(test_policy ()) (jobs 6)
   in
@@ -414,11 +403,8 @@ let test_supervise_quarantine_and_failure_record () =
       let body = In_channel.with_open_bin record In_channel.input_all in
       List.iter
         (fun needle ->
-          let n = String.length needle and m = String.length body in
-          let rec at i =
-            i + n <= m && (String.sub body i n = needle || at (i + 1))
-          in
-          Alcotest.(check bool) ("record contains " ^ needle) true (at 0))
+          Alcotest.(check bool) ("record contains " ^ needle) true
+            (contains needle body))
         [ "t/hopeless"; "always broken"; "\"attempts\"" ])
 
 let test_supervise_journal_resume () =
@@ -475,40 +461,37 @@ let test_supervise_journal_resume () =
       Alcotest.(check int) "three resumed" 3 s3.Runner.Pool.resumed;
       Alcotest.(check int) "one recomputed" 1 s3.Runner.Pool.executed)
 
-let test_supervise_heap_ceiling_quarantines () =
-  (* The allocation bomb must run in a forked worker: the Gc alarm
-     raises at the end of a major collection in that process only. *)
-  let bomb =
-    Runner.Job.create ~key:"t/heap-bomb" (fun () ->
-        let acc = ref [] in
-        for _ = 1 to 200_000 do
-          acc := Bytes.create 1024 :: !acc
-        done;
-        List.length !acc)
-  in
+(* The allocation bomb must run in a forked worker: the Gc alarm raises
+   at the end of a major collection in that process only. *)
+let heap_bomb =
+  Runner.Job.create ~key:"t/heap-bomb" (fun () ->
+      let acc = ref [] in
+      for _ = 1 to 200_000 do
+        acc := Bytes.create 1024 :: !acc
+      done;
+      List.length !acc)
+
+let expect_heap_quarantine ~workers =
   let outcomes, stats =
-    Runner.Supervise.run ~workers:2
+    Runner.Supervise.run ~workers
       ~policy:(test_policy ~heap_ceiling_words:(4 * 1024 * 1024) ())
-      [ job 1; bomb ]
+      [ job 1; heap_bomb ]
   in
   (match outcomes with
   | [ Runner.Supervise.Done _;
       Runner.Supervise.Quarantined { reason; history } ] ->
-      let mentions_ceiling =
-        let needle = "heap ceiling" in
-        let n = String.length needle and m = String.length reason in
-        let rec at i =
-          i + n <= m && (String.sub reason i n = needle || at (i + 1))
-        in
-        at 0
-      in
       Alcotest.(check bool) "reason names the heap ceiling" true
-        mentions_ceiling;
+        (contains "heap ceiling" reason);
       Alcotest.(check int) "no retry of a deterministic failure" 1
         (List.length history)
   | _ -> Alcotest.fail "expected Done + Quarantined");
   Alcotest.(check int) "quarantined" 1 stats.Runner.Pool.quarantined;
   Alcotest.(check int) "not retried" 0 stats.Runner.Pool.retried
+
+let test_supervise_heap_ceiling_quarantines () = expect_heap_quarantine ~workers:2
+
+(* Like a deadline, a heap ceiling sends a one-worker run to a fork. *)
+let test_heap_ceiling_at_one_worker () = expect_heap_quarantine ~workers:1
 
 let test_supervise_backoff_deterministic () =
   let p = Runner.Supervise.default_policy in
@@ -665,6 +648,9 @@ let () =
             test_persistent_crash_fails;
           Alcotest.test_case "timeout kills stuck worker" `Quick
             test_timeout_kills_stuck_worker;
+          Alcotest.test_case "crash is an error" `Quick test_crash_is_an_error;
+          Alcotest.test_case "deadline at one worker" `Quick
+            test_deadline_at_one_worker;
         ] );
       ( "cache",
         [
@@ -690,6 +676,8 @@ let () =
             test_supervise_journal_resume;
           Alcotest.test_case "heap ceiling quarantines" `Quick
             test_supervise_heap_ceiling_quarantines;
+          Alcotest.test_case "heap ceiling at one worker" `Quick
+            test_heap_ceiling_at_one_worker;
           Alcotest.test_case "backoff deterministic" `Quick
             test_supervise_backoff_deterministic;
         ] );
@@ -707,20 +695,5 @@ let () =
             test_repro_quarantine_exits_nonzero;
           Alcotest.test_case "allow-failures downgrades" `Quick
             test_repro_allow_failures_downgrades;
-        ] );
-      (* Must stay last: on OCaml 5, Unix.fork is disallowed for the
-         rest of the process once any domain has been spawned, so every
-         fork-pool suite has to run before the first Domain.spawn.  The
-         fork runs *inside* these tests are safe because each test
-         forks before it spawns domains (or executes nothing from a
-         warm cache). *)
-      ( "domain",
-        [
-          Alcotest.test_case "matches fork and serial" `Quick
-            test_domain_matches_fork;
-          Alcotest.test_case "job exception isolated to its slot" `Quick
-            test_domain_job_exception;
-          Alcotest.test_case "fills the shared cache" `Quick
-            test_domain_fills_cache;
         ] );
     ]

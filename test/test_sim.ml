@@ -612,7 +612,7 @@ let test_link_counters_under_full_buffer () =
   let eq = Sim.Event_queue.create () in
   let link =
     Sim.Link.create ~eq ~rate:(Sim.Link.Constant 1000.) ~buffer:3000
-      ~ecn_threshold:1000 ~record_queue:false ()
+      ~aqm:(Sim.Aqm.threshold ~mark_above:1000) ~record_queue:false ()
   in
   Sim.Link.set_on_dequeue link (fun _ -> ());
   for seq = 0 to 9 do
@@ -869,8 +869,8 @@ let test_aqm_red_monotone_in_depth () =
 let test_link_ecn_marking () =
   let eq = Sim.Event_queue.create () in
   let link =
-    Sim.Link.create ~eq ~rate:(Sim.Link.Constant 1000.) ~ecn_threshold:1500
-      ~record_queue:false ()
+    Sim.Link.create ~eq ~rate:(Sim.Link.Constant 1000.)
+      ~aqm:(Sim.Aqm.threshold ~mark_above:1500) ~record_queue:false ()
   in
   Sim.Link.set_on_dequeue link (fun _ -> ());
   let p0 = mk_pkt 0 and p1 = mk_pkt 1 and p2 = mk_pkt 2 in
@@ -881,16 +881,6 @@ let test_link_ecn_marking () =
   Alcotest.(check bool) "second unmarked (at threshold)" false p1.Sim.Packet.ce;
   Alcotest.(check bool) "third marked" true p2.Sim.Packet.ce;
   Alcotest.(check int) "mark counter" 1 (Sim.Link.ce_marks link)
-
-let test_link_rejects_double_aqm () =
-  let eq = Sim.Event_queue.create () in
-  Alcotest.(check bool) "both aqm args rejected" true
-    (try
-       ignore
-         (Sim.Link.create ~eq ~rate:(Sim.Link.Constant 1.) ~ecn_threshold:1
-            ~aqm:(Sim.Aqm.threshold ~mark_above:1) ~record_queue:false ());
-       false
-     with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Trace-driven link (Mahimahi-style opportunities)                    *)
@@ -1232,8 +1222,8 @@ let test_flow_ce_propagates () =
   in
   let rate = Sim.Units.mbps 4. in
   let cfg =
-    Sim.Network.config ~rate:(Sim.Link.Constant rate) ~ecn_threshold:3000 ~rm:0.02
-      ~duration:2.
+    Sim.Network.config ~rate:(Sim.Link.Constant rate)
+      ~aqm:(Sim.Aqm.threshold ~mark_above:3000) ~rm:0.02 ~duration:2.
       [ Sim.Network.flow cca ]
   in
   ignore (Sim.Network.run_config cfg);
@@ -2462,7 +2452,6 @@ let () =
           Alcotest.test_case "codel accelerates" `Quick test_aqm_codel_accelerates;
           Alcotest.test_case "red monotone" `Quick test_aqm_red_monotone_in_depth;
           Alcotest.test_case "link marking" `Quick test_link_ecn_marking;
-          Alcotest.test_case "double aqm rejected" `Quick test_link_rejects_double_aqm;
         ] );
       ( "trace-link",
         [
