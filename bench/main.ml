@@ -6,7 +6,9 @@
 
    Part 2 is the macro throughput benchmark: simulated-seconds/sec,
    packets/sec and GC pressure on a canonical 1 s Reno run, written to
-   BENCH_simulator.json next to a recorded pre-optimization baseline.
+   BENCH_simulator.json.  Its gated figures are ratios of two timings
+   taken in the same process, never comparisons with a number recorded
+   on another machine.
 
    The paper's tables come from `repro --all` and the figure series from
    `starvation_lab figures` / `export`; this harness only times the
@@ -195,15 +197,6 @@ let pool_speedup () =
 (* Part 2: macro throughput benchmark                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Pre-optimization numbers for the same canonical run, measured at the
-   commit before the allocation-light hot path landed (main@66340fc,
-   same measurement loop, same host class).  Kept here so every
-   BENCH_simulator.json records the comparison it claims. *)
-let macro_baseline_packets_per_sec = 226_388.
-let macro_baseline_minor_words_per_packet = 165.6
-let macro_baseline_peak_pending = 44
-let macro_baseline_commit = "main@66340fc"
-
 let macro_config () =
   let rate = Sim.Units.mbps 12. in
   Sim.Network.config ~rate:(Sim.Link.Constant rate)
@@ -302,7 +295,7 @@ let snapshot_overhead () =
   let t_plain = !t_plain and t_snap = !t_snap in
   let pps_plain = float_of_int !pkts /. t_plain in
   let pps_snap = float_of_int !pkts /. t_snap in
-  let overhead = Float.max 0. ((t_snap /. t_plain) -. 1.) in
+  let overhead = (t_snap /. t_plain) -. 1. in
   ( pps_plain,
     pps_snap,
     overhead,
@@ -352,7 +345,7 @@ let oracle_overhead () =
   done;
   let pps_plain = float_of_int !pkts /. !t_plain in
   let pps_mon = float_of_int !pkts /. !t_mon in
-  let overhead = Float.max 0. ((!t_mon /. !t_plain) -. 1.) in
+  let overhead = (!t_mon /. !t_plain) -. 1. in
   (pps_plain, pps_mon, overhead)
 
 (* Flow-churn throughput: completed flows per wall-clock second on the
@@ -378,21 +371,15 @@ let churn_config ~backend ~n ~seed =
   let duration =
     Float.max 2. (float_of_int n *. mean_size /. (0.7 *. rate *. 0.6))
   in
-  let master = Sim.Rng.create ~seed in
-  let arrivals = Sim.Rng.stream master ~label:"bench/churn/arrivals" in
-  let sizes = Sim.Rng.stream master ~label:"bench/churn/sizes" in
-  let window = 0.6 *. duration in
-  let mean_gap = window /. float_of_int n in
-  let t = ref 0. in
+  let population =
+    Sim.Population.draw ~seed ~key:"bench/churn" ~n ~window:(0.6 *. duration)
+      ~alpha:1.5 ~xm ~size_cap:10_000_000
+  in
   let specs =
     List.init n (fun _ ->
-        t := !t +. Sim.Rng.exponential arrivals ~mean:mean_gap;
-        let size =
-          min 10_000_000
-            (int_of_float (Sim.Rng.pareto sizes ~alpha:1.5 ~xm))
-        in
-        Sim.Network.flow ~start_time:(Float.min !t window)
-          ~record_series:false ~size_bytes:size (Reno.make ()))
+        let start_time, size = Sim.Population.next population in
+        Sim.Network.flow ~start_time ~record_series:false ~size_bytes:size
+          (Reno.make ()))
   in
   Sim.Network.config ~rate:(Sim.Link.Constant rate) ~rm:0.02 ~seed ~duration
     ~backend specs
@@ -639,16 +626,10 @@ let macro_bench () =
   let words_per_pkt = minor /. float_of_int !pkts in
   let sim_sec_per_sec = float_of_int reps /. dt in
   let peak_pending = macro_peak_pending () in
-  let speedup = packets_per_sec /. macro_baseline_packets_per_sec in
-  let alloc_factor = macro_baseline_minor_words_per_packet /. words_per_pkt in
   Printf.printf "\n== Macro simulator benchmark (1 s Reno run x %d) ==\n" reps;
-  Printf.printf "%-34s %12s %12s %8s\n" "metric" "baseline" "now" "ratio";
-  Printf.printf "%-34s %12.0f %12.0f %7.2fx\n" "packets/sec"
-    macro_baseline_packets_per_sec packets_per_sec speedup;
-  Printf.printf "%-34s %12.1f %12.1f %7.2fx\n" "GC minor words/packet"
-    macro_baseline_minor_words_per_packet words_per_pkt alloc_factor;
-  Printf.printf "%-34s %12d %12d\n" "peak pending events (2 flows)"
-    macro_baseline_peak_pending peak_pending;
+  Printf.printf "%-34s %25.0f\n" "packets/sec" packets_per_sec;
+  Printf.printf "%-34s %25.1f\n" "GC minor words/packet" words_per_pkt;
+  Printf.printf "%-34s %25d\n" "peak pending events (2 flows)" peak_pending;
   Printf.printf "%-34s %25.1f\n" "simulated seconds/sec" sim_sec_per_sec;
   Printf.printf "%-34s %25d\n" "delay-line fallbacks" !fallbacks;
   let pps_plain, pps_snap, overhead, per_run = snapshot_overhead () in
@@ -687,15 +668,6 @@ let macro_bench () =
       ("top_heap_words", string_of_int top_heap);
       ("peak_pending_events_2flow", string_of_int peak_pending);
       ("delay_line_fallbacks", string_of_int !fallbacks);
-      ("baseline_commit", Printf.sprintf "%S" macro_baseline_commit);
-      ( "baseline_packets_per_sec",
-        Printf.sprintf "%.1f" macro_baseline_packets_per_sec );
-      ( "baseline_minor_words_per_packet",
-        Printf.sprintf "%.2f" macro_baseline_minor_words_per_packet );
-      ( "baseline_peak_pending_events_2flow",
-        string_of_int macro_baseline_peak_pending );
-      ("speedup_packets_per_sec", Printf.sprintf "%.3f" speedup);
-      ("alloc_reduction_factor", Printf.sprintf "%.3f" alloc_factor);
       ("snapshot_interval_sim_sec", Printf.sprintf "%g" snapshot_interval);
       ("snapshot_checkpoints_per_run", string_of_int per_run);
       ("packets_per_sec_no_snapshots", Printf.sprintf "%.1f" pps_plain);

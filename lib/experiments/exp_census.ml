@@ -90,90 +90,74 @@ let cell_key ~variant ~cca_name ~backend ~jitter_d ~n =
     cca_name (jitter_d *. 1e3) n
     (Fluid.Backend.to_string backend)
 
-let run_cell_packet ~variant ~cca_name ~backend ~jitter_d ~n ~seed =
-  let key = cell_key ~variant ~cca_name ~backend ~jitter_d ~n in
-  let cfg =
-    {
-      Sim.Population.n;
-      duration = duration_for ~load:variant.v_load n;
-      arrival_frac;
-      rate;
-      buffer = variant.v_buffer;
-      rm;
-      mss;
-      jitter_d;
-      seed;
-      key;
-      alpha;
-      xm;
-      size_cap;
-    }
-  in
-  let r = Sim.Population.run ~cca:(columnar_factory cca_name) cfg in
-  (* In place: the goodput column is ours and n can be 10^6 — no sorted
-     copies. *)
-  let summary = Sim.Stats.ratio_summary_in_place r.Sim.Population.goodputs in
+(* A cell's population, keyed by the packet cell.  The fluid cell is
+   derived from it, so both backends run the same (arrival, size)
+   sequence; only the job's cache key names the fluid backend. *)
+let population_config ~variant ~cca_name ~jitter_d ~n ~seed =
   {
-    variant = variant.v_name;
-    cca_name;
-    backend = Fluid.Backend.to_string backend;
-    jitter_ms = jitter_d *. 1e3;
-    flows = n;
-    completed = r.Sim.Population.completed;
-    summary;
-    peak_pending = r.Sim.Population.peak_pending;
-    peak_active = r.Sim.Population.peak_active;
-    slots = r.Sim.Population.slots;
-    table_capacity = r.Sim.Population.table_capacity;
-    fallbacks = r.Sim.Population.fallbacks;
+    Sim.Population.n;
+    duration = duration_for ~load:variant.v_load n;
+    arrival_frac;
+    rate;
+    buffer = variant.v_buffer;
+    rm;
+    mss;
+    jitter_d;
+    seed;
+    key =
+      cell_key ~variant ~cca_name ~backend:Fluid.Backend.Packet ~jitter_d ~n;
+    alpha;
+    xm;
+    size_cap;
   }
 
-(* The fluid census: same population law (identical labeled Rng streams
-   would be ideal, but the fluid census draws its own streams under the
-   cell key, so the workload is statistically — not sample-for-sample —
-   the same).  Per-flow law state is admitted/released with the flow, so
-   peak concurrent state rows play the role the slot pool plays on the
-   packet side; the event-queue and flow-table columns have no fluid
-   analogue and report as zero. *)
-let run_cell_fluid ~variant ~cca_name ~backend ~jitter_d ~n ~seed =
-  let key = cell_key ~variant ~cca_name ~backend ~jitter_d ~n in
-  let r =
-    Fluid.Census.run
-      (Fluid.Census.config ~key ~seed ~n
-         ~duration:(duration_for ~load:variant.v_load n)
-         ~arrival_frac ~rate
-         ?buffer:(Option.map float_of_int variant.v_buffer)
-         ~rm ~mss:(float_of_int mss) ~jitter_d ~alpha ~xm
-         ~size_cap:(float_of_int size_cap)
-         (Ccac.Model.fluid_of_name cca_name))
-  in
-  if r.Fluid.Census.conservation_error > 1. +. (1e-6 *. r.Fluid.Census.offered_bytes)
-  then
-    failwith
-      (Printf.sprintf "census %s: fluid conservation error %.1f B" key
-         r.Fluid.Census.conservation_error);
-  let summary = Sim.Stats.ratio_summary_in_place r.Fluid.Census.goodputs in
-  {
-    variant = variant.v_name;
-    cca_name;
-    backend = Fluid.Backend.to_string backend;
-    jitter_ms = jitter_d *. 1e3;
-    flows = n;
-    completed = r.Fluid.Census.completed;
-    summary;
-    peak_pending = 0;
-    peak_active = r.Fluid.Census.peak_active;
-    slots = r.Fluid.Census.peak_active;
-    table_capacity = 0;
-    fallbacks = 0;
-  }
+let fluid_config (p : Sim.Population.config) ~cca_name =
+  Fluid.Census.config ~key:p.key ~seed:p.seed ~n:p.n ~duration:p.duration
+    ~arrival_frac:p.arrival_frac ~rate:p.rate
+    ?buffer:(Option.map float_of_int p.buffer)
+    ~rm:p.rm ~mss:(float_of_int p.mss) ~jitter_d:p.jitter_d ~alpha:p.alpha
+    ~xm:p.xm ~size_cap:(float_of_int p.size_cap)
+    (Ccac.Model.fluid_of_name cca_name)
 
 let run_cell ~variant ~cca_name ~backend ~jitter_d ~n ~seed =
+  let p = population_config ~variant ~cca_name ~jitter_d ~n ~seed in
+  let cell goodputs ~completed ~peak_active ~slots ~peak_pending
+      ~table_capacity ~fallbacks =
+    {
+      variant = variant.v_name;
+      cca_name;
+      backend = Fluid.Backend.to_string backend;
+      jitter_ms = jitter_d *. 1e3;
+      flows = n;
+      completed;
+      (* In place: the goodput column is ours and n can be 10^6 — no
+         sorted copies. *)
+      summary = Sim.Stats.ratio_summary_in_place goodputs;
+      peak_pending;
+      peak_active;
+      slots;
+      table_capacity;
+      fallbacks;
+    }
+  in
   match backend with
   | Fluid.Backend.Packet ->
-      run_cell_packet ~variant ~cca_name ~backend ~jitter_d ~n ~seed
+      let r = Sim.Population.run ~cca:(columnar_factory cca_name) p in
+      cell r.goodputs ~completed:r.completed ~peak_active:r.peak_active
+        ~slots:r.slots ~peak_pending:r.peak_pending
+        ~table_capacity:r.table_capacity ~fallbacks:r.fallbacks
   | Fluid.Backend.Fluid ->
-      run_cell_fluid ~variant ~cca_name ~backend ~jitter_d ~n ~seed
+      let r = Fluid.Census.run (fluid_config p ~cca_name) in
+      if r.conservation_error > 1. +. (1e-6 *. r.offered_bytes) then
+        failwith
+          (Printf.sprintf "census %s: fluid conservation error %.1f B"
+             (cell_key ~variant ~cca_name ~backend ~jitter_d ~n)
+             r.conservation_error);
+      (* Law state is admitted and released with the flow, so peak
+         concurrent flows play the slot pool's part; the event-queue and
+         flow-table columns have no fluid analogue. *)
+      cell r.goodputs ~completed:r.completed ~peak_active:r.peak_active
+        ~slots:r.peak_active ~peak_pending:0 ~table_capacity:0 ~fallbacks:0
   | Fluid.Backend.Hybrid ->
       (* The census has no discontinuity schedule to hand a hybrid
          switcher; the registry declares it packet/fluid only and
@@ -194,7 +178,7 @@ let cells =
 
 (* One JSON line per cell; every numeric field is finite by construction
    ({!Sim.Stats.ratio_summary} never emits [inf]).  Printed by the merge,
-   not the job, so cells can run on the domain pool. *)
+   not the job, so serial and forked runs print the same bytes. *)
 let print_cell c =
   Printf.printf
     "census {\"variant\":\"%s\",\"cca\":\"%s\",\"backend\":\"%s\",\
@@ -241,6 +225,18 @@ let rows_of_cells cs =
           && (heavy || c.completed > c.flows / 2)))
     cs
 
+let seed = 42
+
+let cell_configs ~quick =
+  List.map
+    (fun (variant, cca_name, jitter_d) ->
+      let p =
+        population_config ~variant ~cca_name ~jitter_d
+          ~n:(population variant ~quick) ~seed
+      in
+      (p, fluid_config p ~cca_name))
+    cells
+
 let plan ~quick ~backend =
   let jobs =
     List.map
@@ -248,7 +244,7 @@ let plan ~quick ~backend =
         let n = population variant ~quick in
         let key = cell_key ~variant ~cca_name ~backend ~jitter_d ~n in
         Runner.Job.create ~key (fun () ->
-            run_cell ~variant ~cca_name ~backend ~jitter_d ~n ~seed:42))
+            run_cell ~variant ~cca_name ~backend ~jitter_d ~n ~seed))
       cells
   in
   let merge payloads =

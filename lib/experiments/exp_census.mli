@@ -21,8 +21,8 @@
     on {!Sim.Population} (slot recycling, columnar CCA state,
     concurrency-bounded memory), the workload DESIGN.md §13 exists for.
     Cell jobs are silent — JSON lines and tables are printed by the
-    merge in the parent — so serial, forked and domain-parallel runs
-    are byte-identical. *)
+    merge in the parent — so serial and forked runs are
+    byte-identical. *)
 
 type cell = {
   variant : string;  (** ["std"] or ["heavy"] *)
@@ -47,9 +47,16 @@ val plan :
     ["census {...}"] JSON line per cell and yields one row per cell.
     Quick runs 250 flows per cell; full runs 1M per [std] cell and 250k
     per [heavy] cell.  [Packet] runs {!Sim.Population}; [Fluid] runs the
-    {!Fluid.Census} port, whose per-flow law state is admitted and
-    released with the flow — peak concurrent state rows take the
-    [slots] column, the packet-only counters report zero.  There is no
+    {!Fluid.Census} port over the same population (it draws under the
+    packet cell's key), whose per-flow law state is admitted and
+    released with the flow — peak concurrent flows take the [slots]
+    column, the packet-only counters report zero.  There is no
     hybrid census (no event schedule to hand a hybrid switcher): the
     registry rejects that combination before planning, and a [Hybrid]
     job raises [Invalid_argument]. *)
+
+val cell_configs :
+  quick:bool -> (Sim.Population.config * Fluid.Census.config) list
+(** Each cell's packet and fluid configurations, as the jobs run them.
+    The fluid one is derived from the packet one and carries the same
+    population key. *)

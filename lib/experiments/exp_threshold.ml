@@ -4,15 +4,13 @@ type point = {
   ratio : float;
 }
 
-let rate = Sim.Units.mbps 24.
-let rm = 0.04
-
-(* Each flow's fair share is rate/2; Copa's equilibrium oscillation at that
-   share (paper §2.2: 4 alpha / C) is the natural unit for D. *)
-let delta_max = 4. *. 1500. /. (rate /. 2.)
-
+(* The scenario's constants and its hybrid run are shared with the
+   V6 hybrid oracle. *)
+let rate = Validate.Fluid_oracle.threshold_rate
+let rm = Validate.Fluid_oracle.threshold_rm
+let delta_max = Validate.Fluid_oracle.threshold_delta_max
+let late_jitter = Validate.Fluid_oracle.late_jitter
 let ratio_of x1 x2 = Float.max x1 x2 /. Float.max (Float.min x1 x2) 1.
-let late_jitter jitter_d t = if t < 1. then 0. else jitter_d
 
 let measure_ratio ~jitter_d ~duration =
   let net =
@@ -47,28 +45,10 @@ let measure_ratio_fluid ~jitter_d ~duration =
   in
   ratio_of (Fluid.Engine.counted_bytes eng 0) (Fluid.Engine.counted_bytes eng 1)
 
-(* Hybrid: packet-level inside a window after t=0 (flow start) and t=1
-   (jitter activation — the only discontinuities this scenario has),
-   fluid in between and after.  The starvation verdict depends on the
-   poisoned min-RTT surviving both seam directions. *)
+(* Hybrid: the starvation verdict depends on the poisoned min-RTT
+   surviving both seam directions. *)
 let measure_ratio_hybrid ~jitter_d ~duration =
-  let copa_at ~cwnd =
-    Copa.make
-      ~params:{ Copa.default_params with init_cwnd_packets = cwnd /. 1500. }
-      ()
-  in
-  let r =
-    Fluid.Hybrid.run
-      (Fluid.Hybrid.config ~rate ~rm ~duration ~measure_from:(duration /. 2.)
-         ~events:[ 1.0 ]
-         [
-           Fluid.Hybrid.flow
-             ~jitter:(late_jitter jitter_d)
-             ~jitter_bound:jitter_d ~packet_cca:copa_at
-             (Ccac.Model.copa_fluid ());
-           Fluid.Hybrid.flow ~packet_cca:copa_at (Ccac.Model.copa_fluid ());
-         ])
-  in
+  let r = Validate.Fluid_oracle.hybrid_threshold_run ~jitter_d ~duration in
   ratio_of r.Fluid.Hybrid.counted.(0) r.Fluid.Hybrid.counted.(1)
 
 let params ~quick =

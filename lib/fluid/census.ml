@@ -1,15 +1,11 @@
-(* Fluid port of the starvation census: a churning population of sized
-   flows drawn from the same kind of labeled-Rng streams the packet
-   [Sim.Population] engine uses (arrival times Poisson, sizes Pareto
-   capped, per-flow constant jitter uniform in [0, jitter_d]), advanced
-   by one shared fluid law.
-
-   Unlike [Engine], which iterates every configured flow each step,
-   this loop keeps an explicit active set (swap-remove on completion)
-   so cost per step is O(active), not O(population) — the whole point
-   of running a million-flow cell on the fluid backend.  Law state
-   lives in per-flow arrays allocated at admission and dropped at
-   completion, so resident state is bounded by peak concurrency. *)
+(* Fluid port of the starvation census, run on [Engine].  The
+   population is [Sim.Population]'s draw (so a fluid cell under the
+   packet cell's key runs the same flows); each flow gets a constant
+   jitter uniform in [0, jitter_d] from its own labeled stream and is
+   admitted at the first step boundary at or after its arrival.  The
+   engine steps only live flows and drops a flow's state when it
+   completes, so cost per step and resident state track concurrency,
+   not the population. *)
 
 type config = {
   key : string;
@@ -48,148 +44,43 @@ type result = {
   conservation_error : float;
 }
 
+let flows cfg =
+  Sim.Population.draw ~seed:cfg.seed ~key:cfg.key ~n:cfg.n
+    ~window:(cfg.arrival_frac *. cfg.duration) ~alpha:cfg.alpha ~xm:cfg.xm
+    ~size_cap:(int_of_float cfg.size_cap)
+
 let run cfg =
-  let n = cfg.n in
-  let master = Sim.Rng.create ~seed:cfg.seed in
-  let arr_rng = Sim.Rng.stream master ~label:(cfg.key ^ "/fluid-arrivals") in
-  let size_rng = Sim.Rng.stream master ~label:(cfg.key ^ "/fluid-sizes") in
-  let jit_rng = Sim.Rng.stream master ~label:(cfg.key ^ "/fluid-jitter") in
-  let window = cfg.arrival_frac *. cfg.duration in
-  let mean_gap = window /. float_of_int n in
-  let arrival = Array.make n 0. in
-  let size = Array.make n 0. in
-  let jit = Array.make n 0. in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. Sim.Rng.exponential arr_rng ~mean:mean_gap;
-    arrival.(i) <- Float.min !acc cfg.duration;
-    size.(i) <-
-      Float.min cfg.size_cap (Sim.Rng.pareto size_rng ~alpha:cfg.alpha ~xm:cfg.xm);
-    jit.(i) <- Sim.Rng.uniform jit_rng ~lo:0. ~hi:cfg.jitter_d
-  done;
-  (* Per-flow dynamic state; [state] rows exist only while active. *)
-  let state = Array.make n [||] in
-  let min_d = Array.make n infinity in
-  let last_d = Array.make n infinity in
-  let ep_start = Array.make n 0. in
-  let ep_acked = Array.make n 0. in
-  let ep_lost = Bytes.make n '\000' in
-  let accepted = Array.make n 0. in
-  let served = Array.make n 0. in
-  let t_start = Array.make n nan in
-  let t_end = Array.make n nan in
-  let want = Array.make n 0. in
-  let active = Array.make n 0 in
-  let n_active = ref 0 in
-  let peak_active = ref 0 in
-  let completed = ref 0 in
-  let offered_total = ref 0. in
-  let q = ref 0. in
-  let ptr = ref 0 in
-  let t = ref 0. in
-  let steps = ref 0 in
-  let law = cfg.law in
-  while !t < cfg.duration -. 1e-9 do
-    let dt = Float.min cfg.dt (cfg.duration -. !t) in
-    let t' = !t +. dt in
-    (* Admissions. *)
-    while !ptr < n && arrival.(!ptr) <= !t +. 1e-12 do
-      let i = !ptr in
-      state.(i) <- law.Ccac.Model.f_init ~mss:cfg.mss;
-      t_start.(i) <- !t;
-      ep_start.(i) <- !t;
-      active.(!n_active) <- i;
-      incr n_active;
-      if !n_active > !peak_active then peak_active := !n_active;
-      incr ptr
-    done;
-    let qd = !q /. cfg.rate in
-    (* Offers. *)
-    let total_want = ref 0. in
-    for k = 0 to !n_active - 1 do
-      let i = active.(k) in
-      let d = cfg.rm +. qd +. jit.(i) in
-      if d < min_d.(i) then min_d.(i) <- d;
-      last_d.(i) <- d;
-      let w =
-        Float.min
-          (law.Ccac.Model.f_cwnd state.(i) /. d *. dt)
-          (Float.max 0. (size.(i) -. accepted.(i)))
-      in
-      want.(i) <- w;
-      total_want := !total_want +. w
-    done;
-    let room = Float.max 0. (cfg.buffer +. (cfg.rate *. dt) -. !q) in
-    let scale =
-      if !total_want <= room || !total_want <= 0. then 1.
-      else room /. !total_want
-    in
-    let lossy = scale < 1. -. 1e-12 in
-    for k = 0 to !n_active - 1 do
-      let i = active.(k) in
-      let w = want.(i) in
-      if w > 0. then begin
-        offered_total := !offered_total +. w;
-        let a = w *. scale in
-        accepted.(i) <- accepted.(i) +. a;
-        if lossy then Bytes.unsafe_set ep_lost i '\001';
-        q := !q +. a
-      end
-    done;
-    (* Service: proportional to backlog; total flow backlog = q. *)
-    let s_total = Float.min !q (cfg.rate *. dt) in
-    if s_total > 0. && !q > 0. then begin
-      let share = s_total /. !q in
-      for k = 0 to !n_active - 1 do
-        let i = active.(k) in
-        let b = Float.max 0. (accepted.(i) -. served.(i)) in
-        if b > 0. then begin
-          let s = b *. share in
-          served.(i) <- served.(i) +. s;
-          ep_acked.(i) <- ep_acked.(i) +. s
-        end
-      done;
-      q := Float.max 0. (!q -. s_total)
-    end;
-    (* Epochs + completions (iterate downward: completion swap-removes). *)
-    let k = ref (!n_active - 1) in
-    while !k >= 0 do
-      let i = active.(!k) in
-      if t' -. ep_start.(i) >= last_d.(i) then begin
-        law.Ccac.Model.f_update state.(i) ~mss:cfg.mss ~delay:last_d.(i)
-          ~min_delay:min_d.(i) ~acked:ep_acked.(i)
-          ~lost:(Bytes.unsafe_get ep_lost i <> '\000');
-        ep_start.(i) <- t';
-        ep_acked.(i) <- 0.;
-        Bytes.unsafe_set ep_lost i '\000'
-      end;
-      if served.(i) >= size.(i) -. 1e-6 then begin
-        t_end.(i) <- t';
-        state.(i) <- [||];
-        incr completed;
-        decr n_active;
-        active.(!k) <- active.(!n_active)
-      end;
-      decr k
-    done;
-    t := t';
-    incr steps
-  done;
-  let served_total = ref 0. in
-  let goodputs =
-    Array.init n (fun i ->
-        served_total := !served_total +. served.(i);
-        if Float.is_nan t_start.(i) then 0.
-        else
-          let e = if Float.is_nan t_end.(i) then cfg.duration else t_end.(i) in
-          let span = e -. t_start.(i) in
-          if span <= 0. then 0. else served.(i) /. span)
+  let draw = flows cfg in
+  let jitter_rng =
+    Sim.Rng.stream (Sim.Rng.create ~seed:cfg.seed)
+      ~label:(cfg.key ^ "/fluid-jitter")
   in
-  let accepted_total = Array.fold_left ( +. ) 0. accepted in
-  { goodputs;
-    completed = !completed;
+  let eng =
+    Engine.create
+      (Engine.config ~rate:cfg.rate ~buffer:cfg.buffer ~rm:cfg.rm ~dt:cfg.dt
+         ~duration:cfg.duration [])
+  in
+  let admitted = ref 0 in
+  let pending = ref (Sim.Population.next draw) in
+  let peak_active = ref 0 in
+  while not (Engine.finished eng) do
+    while !admitted < cfg.n && fst !pending <= Engine.now eng +. 1e-12 do
+      let j = Sim.Rng.uniform jitter_rng ~lo:0. ~hi:cfg.jitter_d in
+      Engine.admit eng
+        (Engine.flow ~jitter:(fun _ -> j) ~size:(float_of_int (snd !pending))
+           ~mss:cfg.mss cfg.law);
+      incr admitted;
+      pending := Sim.Population.next draw
+    done;
+    peak_active := max !peak_active (Engine.live eng);
+    Engine.step eng
+  done;
+  { goodputs =
+      Array.init cfg.n (fun i ->
+          if i < !admitted then Engine.goodput eng i else 0.);
+    completed = Engine.completions eng;
     peak_active = !peak_active;
-    steps = !steps;
-    offered_bytes = !offered_total;
-    served_bytes = !served_total;
-    conservation_error = Float.abs (accepted_total -. !served_total -. !q) }
+    steps = Engine.steps eng;
+    offered_bytes = Engine.offered_total eng;
+    served_bytes = Engine.served_total eng;
+    conservation_error = Engine.conservation_error eng }

@@ -1,11 +1,14 @@
-(** Fluid port of the starvation census: a churning population of
-    Pareto-sized flows (Poisson arrivals over [arrival_frac *
-    duration], per-flow constant jitter uniform in [0, jitter_d], all
-    drawn from labeled {!Sim.Rng} streams so the population is a pure
-    function of (seed, key)) advanced by one shared fluid law on one
-    bottleneck.  Cost per step is O(active flows), not O(population),
-    and law state is allocated at admission and dropped at completion,
-    so resident state tracks peak concurrency. *)
+(** Fluid port of the starvation census, run on {!Engine}.  The
+    population is {!Sim.Population}'s draw (Poisson arrivals over
+    [arrival_frac * duration], Pareto sizes in whole bytes), so a fluid
+    run under a packet run's key and seed sees the same flows; each flow
+    also gets a constant jitter uniform in [0, jitter_d] from the
+    labeled stream [key ^ "/fluid-jitter"].  Flows are admitted at the
+    first step boundary at or after their arrival and advanced by one
+    shared fluid law on one bottleneck.  The engine steps only live
+    flows and drops a flow's law state when it completes, so cost per
+    step and resident state track peak concurrency, not the
+    population. *)
 
 type config = private {
   key : string;
@@ -52,7 +55,10 @@ type result = {
   steps : int;
   offered_bytes : float;
   served_bytes : float;
-  conservation_error : float;  (** |accepted - served - final queue| *)
+  conservation_error : float;  (** the engine's {!Engine.conservation_error} *)
 }
+
+val flows : config -> Sim.Population.draw
+(** The population {!run} admits. *)
 
 val run : config -> result

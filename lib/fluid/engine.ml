@@ -1,9 +1,9 @@
 (* Fixed-step discretised fluid simulation of n flows on one bottleneck.
 
-   Each step of length dt:
-   - every active flow observes delay = rm + extra_rm + q/C + jitter(t)
-     and offers rate * dt bytes, where rate = cwnd / delay
-     (self-clocking: the window spread over the observed RTT);
+   Each step of length dt, over the live flows in flow-index order:
+   - every live flow observes delay = rm + q/C + jitter(t) and offers
+     rate * dt bytes, where rate = cwnd / delay (self-clocking: the
+     window spread over the observed RTT);
    - arrivals are clipped by the free room buffer + C*dt - q; the
      clipped fraction is dropped *proportionally* across offering
      flows and flagged as this epoch's loss signal — the same
@@ -12,27 +12,31 @@
      flows in proportion to their backlog (the neutral FIFO
      approximation);
    - a flow whose last epoch started one observed-RTT ago advances its
-     CCA state via the law's per-RTT update.
+     CCA state via the law's per-RTT update;
+   - a sized flow whose bytes have all been served completes: it leaves
+     the live set (its law state with it), its goodput is kept, and any
+     backlog it still has joins the phantom queue.
 
-   The engine keeps an exact byte ledger (offered = accepted + dropped;
-   accepted + initial queue = served + final queue, up to float
-   rounding) that the fluid conservation oracle checks. *)
+   Flows enter the live set at [create] (the configured flows) or
+   through [admit] between steps, so a step costs O(live flows), not
+   O(flows ever admitted).
+
+   The engine keeps an exact byte ledger (accepted + initial queue =
+   served + final queue, up to float rounding; completed flows carry
+   their totals into running sums) that the fluid conservation oracle
+   checks. *)
 
 type flow_spec = {
   law : Ccac.Model.fluid;
-  start_time : float;
-  stop_time : float;
-  extra_rm : float;
   jitter : float -> float;
   size : float;
   mss : float;
 }
 
-let flow ?(start_time = 0.) ?(stop_time = infinity) ?(extra_rm = 0.)
-    ?(jitter = fun _ -> 0.) ?(size = infinity) ?(mss = 1500.) law =
+let flow ?(jitter = fun _ -> 0.) ?(size = infinity) ?(mss = 1500.) law =
   if mss <= 0. then invalid_arg "Fluid.Engine.flow: mss <= 0";
   if size <= 0. then invalid_arg "Fluid.Engine.flow: size <= 0";
-  { law; start_time; stop_time; extra_rm; jitter; size; mss }
+  { law; jitter; size; mss }
 
 type config = {
   rate : float;
@@ -55,168 +59,195 @@ let config ~rate ?(buffer = infinity) ~rm ?dt ?(t0 = 0.) ?measure_from
   { rate; buffer; rm; dt; t0; duration; measure_from; initial_queue;
     flows = Array.of_list flows }
 
-type fstate = {
-  spec : flow_spec;
-  state : float array;
-  mutable started : bool;
-  mutable finished : bool;
+(* A flow's running figures: all floats, so OCaml stores them unboxed
+   and the step's updates allocate nothing. *)
+type figures = {
   mutable min_d : float;
   mutable last_d : float;
   mutable epoch_start : float;
   mutable epoch_acked : float;
-  mutable epoch_lost : bool;
-  mutable offered : float;
   mutable accepted : float;
-  mutable dropped : float;
   mutable served : float;
   mutable counted : float;
-  mutable t_start : float;
-  mutable t_end : float;  (* nan while running *)
+  t_start : float;
 }
+
+type fstate = {
+  index : int;
+  spec : flow_spec;
+  state : float array;
+  mutable epoch_lost : bool;
+  v : figures;
+}
+
+let figures t =
+  { min_d = infinity; last_d = infinity; epoch_start = t; epoch_acked = 0.;
+    accepted = 0.; served = 0.; counted = 0.; t_start = t }
+
+(* Fills the unused tail of [live] and the entries of completed flows
+   in [fl]; never stepped. *)
+let vacant =
+  { index = -1; spec = flow Ccac.Model.reno_fluid; state = [||];
+    epoch_lost = false; v = figures 0. }
 
 type t = {
   cfg : config;
-  fl : fstate array;
-  want : float array;  (* per-step scratch *)
+  mutable fl : fstate array;  (* by flow index; [vacant] once completed *)
+  mutable goodputs : float array;  (* by flow index, set at completion *)
+  mutable live : fstate array;  (* live.(0 .. n_live-1), index order *)
+  mutable want : float array;  (* per-step scratch, parallel to [live] *)
+  mutable n_live : int;
+  mutable completions : int;
   mutable now : float;
   mutable q : float;
-  mutable phantom : float;  (* initial-queue backlog not owned by a flow *)
+  mutable phantom : float;  (* queued backlog not owned by a live flow *)
   mutable phantom_served : float;
+  mutable offered : float;
+  mutable retired_accepted : float;
+  mutable retired_served : float;
   mutable q_integral : float;
   mutable measured_time : float;
   mutable steps : int;
 }
 
-let fresh_fstate ~t0 spec =
-  let st =
-    { spec;
-      state = spec.law.Ccac.Model.f_init ~mss:spec.mss;
-      started = false; finished = false;
-      min_d = infinity; last_d = infinity;
-      epoch_start = t0; epoch_acked = 0.; epoch_lost = false;
-      offered = 0.; accepted = 0.; dropped = 0.; served = 0.; counted = 0.;
-      t_start = nan; t_end = nan }
+let cwnd f = f.spec.law.Ccac.Model.f_cwnd f.state
+
+let grow a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max 8 (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let admit eng spec =
+  let i = eng.n_live + eng.completions in
+  let f =
+    { index = i; spec; state = spec.law.Ccac.Model.f_init ~mss:spec.mss;
+      epoch_lost = false; v = figures eng.now }
   in
-  if spec.start_time <= t0 then begin
-    st.started <- true;
-    st.t_start <- t0
-  end;
-  st
+  eng.fl <- grow eng.fl i vacant;
+  eng.goodputs <- grow eng.goodputs i 0.;
+  eng.fl.(i) <- f;
+  eng.live <- grow eng.live eng.n_live vacant;
+  eng.want <- grow eng.want eng.n_live 0.;
+  eng.live.(eng.n_live) <- f;
+  eng.n_live <- eng.n_live + 1
 
 let create cfg =
-  { cfg;
-    fl = Array.map (fresh_fstate ~t0:cfg.t0) cfg.flows;
-    want = Array.make (Array.length cfg.flows) 0.;
-    now = cfg.t0;
-    q = cfg.initial_queue;
-    phantom = cfg.initial_queue;
-    phantom_served = 0.;
-    q_integral = 0.;
-    measured_time = 0.;
-    steps = 0 }
+  let n = Array.length cfg.flows in
+  let eng =
+    { cfg;
+      fl = Array.make n vacant; goodputs = Array.make n 0.;
+      live = Array.make n vacant; want = Array.make n 0.; n_live = 0;
+      completions = 0; now = cfg.t0; q = cfg.initial_queue;
+      phantom = cfg.initial_queue;
+      phantom_served = 0.; offered = 0.; retired_accepted = 0.;
+      retired_served = 0.; q_integral = 0.; measured_time = 0.; steps = 0 }
+  in
+  Array.iter (admit eng) cfg.flows;
+  eng
 
-let active f t = f.started && not f.finished && t < f.spec.stop_time
+(* A completed flow leaves the ledger's per-flow sums for the running
+   ones; its unserved remainder (under the 1e-6 B completion slack)
+   stays queued, owned by the phantom from now on. *)
+let complete eng f ~t_end =
+  eng.retired_accepted <- eng.retired_accepted +. f.v.accepted;
+  eng.retired_served <- eng.retired_served +. f.v.served;
+  eng.phantom <- eng.phantom +. Float.max 0. (f.v.accepted -. f.v.served);
+  let span = t_end -. f.v.t_start in
+  eng.goodputs.(f.index) <- (if span <= 0. then 0. else f.v.served /. span);
+  eng.fl.(f.index) <- vacant;
+  eng.completions <- eng.completions + 1
 
-let step eng dt =
+let advance eng dt =
   let cfg = eng.cfg in
+  let live = eng.live and want = eng.want and n = eng.n_live in
   let t = eng.now in
   let t' = t +. dt in
-  (* Activations. *)
-  Array.iter
-    (fun f ->
-      if (not f.started) && f.spec.start_time <= t +. 1e-12 then begin
-        f.started <- true;
-        f.t_start <- t;
-        f.epoch_start <- t
-      end)
-    eng.fl;
   let qd = eng.q /. cfg.rate in
   (* Offers. *)
   let total_want = ref 0. in
-  Array.iteri
-    (fun i f ->
-      if active f t then begin
-        let d = cfg.rm +. f.spec.extra_rm +. qd +. f.spec.jitter t in
-        if d < f.min_d then f.min_d <- d;
-        f.last_d <- d;
-        let cwnd = f.spec.law.Ccac.Model.f_cwnd f.state in
-        let w = cwnd /. d *. dt in
-        let w =
-          if f.spec.size = infinity then w
-          else Float.min w (Float.max 0. (f.spec.size -. f.accepted))
-        in
-        eng.want.(i) <- w;
-        total_want := !total_want +. w
-      end
-      else eng.want.(i) <- 0.)
-    eng.fl;
+  for k = 0 to n - 1 do
+    let f = live.(k) in
+    let d = cfg.rm +. qd +. f.spec.jitter t in
+    if d < f.v.min_d then f.v.min_d <- d;
+    f.v.last_d <- d;
+    let w = cwnd f /. d *. dt in
+    let w =
+      if f.spec.size = infinity then w
+      else Float.min w (Float.max 0. (f.spec.size -. f.v.accepted))
+    in
+    want.(k) <- w;
+    total_want := !total_want +. w
+  done;
   (* Clip by the free room; drops are proportional and flagged. *)
   let room = Float.max 0. (cfg.buffer +. (cfg.rate *. dt) -. eng.q) in
   let scale =
     if !total_want <= room || !total_want <= 0. then 1. else room /. !total_want
   in
-  Array.iteri
-    (fun i f ->
-      let w = eng.want.(i) in
-      if w > 0. then begin
-        let a = w *. scale in
-        f.offered <- f.offered +. w;
-        f.accepted <- f.accepted +. a;
-        f.dropped <- f.dropped +. (w -. a);
-        if scale < 1. -. 1e-12 then f.epoch_lost <- true;
-        eng.q <- eng.q +. a
-      end)
-    eng.fl;
-  (* Service, split in proportion to backlog (FIFO approximation).
-     Finished/stopped flows still drain whatever they have queued. *)
+  (* Local accumulators: a float field of [eng] would box on every write. *)
+  let q = ref eng.q and offered = ref eng.offered in
+  for k = 0 to n - 1 do
+    let w = want.(k) in
+    if w > 0. then begin
+      let f = live.(k) in
+      let a = w *. scale in
+      offered := !offered +. w;
+      f.v.accepted <- f.v.accepted +. a;
+      if scale < 1. -. 1e-12 then f.epoch_lost <- true;
+      q := !q +. a
+    end
+  done;
+  eng.q <- !q;
+  eng.offered <- !offered;
+  (* Service, split in proportion to backlog (FIFO approximation). *)
   let s_total = Float.min eng.q (cfg.rate *. dt) in
   if s_total > 0. then begin
     let backlog_total = ref eng.phantom in
-    Array.iter
-      (fun f ->
-        if f.started then
-          backlog_total := !backlog_total +. Float.max 0. (f.accepted -. f.served))
-      eng.fl;
+    for k = 0 to n - 1 do
+      let f = live.(k) in
+      backlog_total :=
+        !backlog_total +. Float.max 0. (f.v.accepted -. f.v.served)
+    done;
     if !backlog_total > 0. then begin
       let share = s_total /. !backlog_total in
-      Array.iter
-        (fun f ->
-          if f.started then begin
-            let b = Float.max 0. (f.accepted -. f.served) in
-            if b > 0. then begin
-              let s = b *. share in
-              f.served <- f.served +. s;
-              f.epoch_acked <- f.epoch_acked +. s;
-              if t >= cfg.measure_from then f.counted <- f.counted +. s
-            end
-          end)
-        eng.fl;
+      for k = 0 to n - 1 do
+        let f = live.(k) in
+        let b = Float.max 0. (f.v.accepted -. f.v.served) in
+        if b > 0. then begin
+          let s = b *. share in
+          f.v.served <- f.v.served +. s;
+          f.v.epoch_acked <- f.v.epoch_acked +. s;
+          if t >= cfg.measure_from then f.v.counted <- f.v.counted +. s
+        end
+      done;
       let sp = eng.phantom *. share in
       eng.phantom <- eng.phantom -. sp;
       eng.phantom_served <- eng.phantom_served +. sp;
       eng.q <- Float.max 0. (eng.q -. s_total)
     end
   end;
-  (* Per-RTT epochs and completions. *)
-  Array.iter
-    (fun f ->
-      if active f t then begin
-        if t' -. f.epoch_start >= f.last_d then begin
-          f.spec.law.Ccac.Model.f_update f.state ~mss:f.spec.mss
-            ~delay:f.last_d ~min_delay:f.min_d ~acked:f.epoch_acked
-            ~lost:f.epoch_lost;
-          f.epoch_start <- t';
-          f.epoch_acked <- 0.;
-          f.epoch_lost <- false
-        end;
-        if f.spec.size < infinity && f.served >= f.spec.size -. 1e-6 then begin
-          f.finished <- true;
-          f.t_end <- t'
-        end
-        else if t' >= f.spec.stop_time && Float.is_nan f.t_end then
-          f.t_end <- f.spec.stop_time
-      end)
-    eng.fl;
+  (* Per-RTT epochs and completions; survivors keep their order. *)
+  let kept = ref 0 in
+  for k = 0 to n - 1 do
+    let f = live.(k) in
+    if t' -. f.v.epoch_start >= f.v.last_d then begin
+      f.spec.law.Ccac.Model.f_update f.state ~mss:f.spec.mss ~delay:f.v.last_d
+        ~min_delay:f.v.min_d ~acked:f.v.epoch_acked ~lost:f.epoch_lost;
+      f.v.epoch_start <- t';
+      f.v.epoch_acked <- 0.;
+      f.epoch_lost <- false
+    end;
+    if f.spec.size < infinity && f.v.served >= f.spec.size -. 1e-6 then
+      complete eng f ~t_end:t'
+    else begin
+      if !kept < k then live.(!kept) <- f;
+      incr kept
+    end
+  done;
+  Array.fill live !kept (n - !kept) vacant;
+  eng.n_live <- !kept;
   if t >= cfg.measure_from then begin
     eng.q_integral <- eng.q_integral +. (eng.q *. dt);
     eng.measured_time <- eng.measured_time +. dt
@@ -224,13 +255,14 @@ let step eng dt =
   eng.now <- t';
   eng.steps <- eng.steps + 1
 
-let run_until eng t_end =
-  while eng.now < t_end -. 1e-9 do
-    step eng (Float.min eng.cfg.dt (t_end -. eng.now))
-  done
+let horizon eng = eng.cfg.t0 +. eng.cfg.duration
+let finished eng = eng.now >= horizon eng -. 1e-9
+let step eng = advance eng (Float.min eng.cfg.dt (horizon eng -. eng.now))
 
 let run eng =
-  run_until eng (eng.cfg.t0 +. eng.cfg.duration);
+  while not (finished eng) do
+    step eng
+  done;
   eng
 
 let run_config cfg = run (create cfg)
@@ -239,55 +271,61 @@ let run_config cfg = run (create cfg)
 
 let now eng = eng.now
 let steps eng = eng.steps
+let live eng = eng.n_live
+let completions eng = eng.completions
 let queue_bytes eng = eng.q
 
-let flow_cwnd eng i = eng.fl.(i).spec.law.Ccac.Model.f_cwnd eng.fl.(i).state
+let live_flow eng i =
+  let f = eng.fl.(i) in
+  if f == vacant then invalid_arg "Fluid.Engine: flow has completed";
+  f
+
+let flow_cwnd eng i = cwnd (live_flow eng i)
 
 let set_flow_cwnd eng i cwnd =
-  eng.fl.(i).spec.law.Ccac.Model.f_warm eng.fl.(i).state ~cwnd
+  let f = live_flow eng i in
+  f.spec.law.Ccac.Model.f_warm f.state ~cwnd
 
-let flow_min_delay eng i = eng.fl.(i).min_d
+let flow_min_delay eng i = (live_flow eng i).v.min_d
 
 let set_flow_min_delay eng i d =
-  eng.fl.(i).min_d <- d;
-  if Float.is_nan eng.fl.(i).last_d || eng.fl.(i).last_d = infinity then
-    eng.fl.(i).last_d <- d
+  let f = live_flow eng i in
+  f.v.min_d <- d;
+  if Float.is_nan f.v.last_d || f.v.last_d = infinity then f.v.last_d <- d
 
-let flow_delay eng i =
-  let f = eng.fl.(i) in
-  if f.last_d < infinity then f.last_d
-  else eng.cfg.rm +. f.spec.extra_rm +. (eng.q /. eng.cfg.rate)
+let flow_rate eng i =
+  let f = live_flow eng i in
+  cwnd f
+  /. if f.v.last_d < infinity then f.v.last_d
+     else eng.cfg.rm +. (eng.q /. eng.cfg.rate)
 
-let flow_rate eng i = flow_cwnd eng i /. flow_delay eng i
-let served_bytes eng i = eng.fl.(i).served
-let counted_bytes eng i = eng.fl.(i).counted
-let offered_bytes eng i = eng.fl.(i).offered
-let dropped_bytes eng i = eng.fl.(i).dropped
-let completed eng i = eng.fl.(i).finished
+let served_bytes eng i = (live_flow eng i).v.served
+let counted_bytes eng i = (live_flow eng i).v.counted
 
 let goodput eng i =
   let f = eng.fl.(i) in
-  if not f.started then 0.
+  if f == vacant then eng.goodputs.(i)
   else
-    let t_end = if Float.is_nan f.t_end then eng.now else f.t_end in
-    let span = t_end -. f.t_start in
-    if span <= 0. then 0. else f.served /. span
+    let span = eng.now -. f.v.t_start in
+    if span <= 0. then 0. else f.v.served /. span
 
 let mean_queue_bytes eng =
   if eng.measured_time <= 0. then 0. else eng.q_integral /. eng.measured_time
 
+let sum_live eng field init =
+  let acc = ref init in
+  for k = 0 to eng.n_live - 1 do
+    acc := !acc +. field eng.live.(k)
+  done;
+  !acc
+
 let accepted_total eng =
-  Array.fold_left (fun acc f -> acc +. f.accepted) 0. eng.fl
+  sum_live eng (fun f -> f.v.accepted) eng.retired_accepted
 
 let served_total eng =
-  Array.fold_left (fun acc f -> acc +. f.served) 0. eng.fl
-  +. eng.phantom_served
+  sum_live eng (fun f -> f.v.served) eng.retired_served +. eng.phantom_served
 
-let offered_total eng =
-  Array.fold_left (fun acc f -> acc +. f.offered) 0. eng.fl
-
-let dropped_total eng =
-  Array.fold_left (fun acc f -> acc +. f.dropped) 0. eng.fl
+let offered_total eng = eng.offered
 
 (* |initial queue + accepted - served - final queue|: every accepted
    byte is either still queued or was served.  Dropped bytes never

@@ -129,9 +129,7 @@ let run cfg =
                  ~initial_queue:!q ~duration:(b -. a)
                  (Array.to_list
                     (Array.map
-                       (fun s ->
-                         Engine.flow ~start_time:a ~jitter:s.jitter
-                           ~mss:s.mss s.law)
+                       (fun s -> Engine.flow ~jitter:s.jitter ~mss:s.mss s.law)
                        cfg.flows)))
           in
           for i = 0 to n - 1 do

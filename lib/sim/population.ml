@@ -65,6 +65,29 @@ type slot = {
   mutable flow_no : int; (* population index of the current incarnation *)
 }
 
+(* The population draw: flow k's arrival (Poisson gaps over the window,
+   clamped to it) and size (Pareto, truncated to whole bytes, capped),
+   from two order-independent labeled streams, so the population is a
+   pure function of (seed, key) whoever consumes it. *)
+type draw = unit -> float * int
+
+let draw ~seed ~key ~n ~window ~alpha ~xm ~size_cap =
+  let master = Rng.create ~seed in
+  let arrivals = Rng.stream master ~label:(key ^ "/arrivals") in
+  let sizes = Rng.stream master ~label:(key ^ "/sizes") in
+  let mean_gap = window /. float_of_int n and t = ref 0. in
+  fun () ->
+    t := !t +. Rng.exponential arrivals ~mean:mean_gap;
+    let size = int_of_float (Rng.pareto sizes ~alpha ~xm) in
+    (Float.min !t window, min size_cap size)
+
+let next d = d ()
+
+let flows cfg =
+  draw ~seed:cfg.seed ~key:cfg.key ~n:cfg.n
+    ~window:(cfg.arrival_frac *. cfg.duration) ~alpha:cfg.alpha ~xm:cfg.xm
+    ~size_cap:cfg.size_cap
+
 let validate cfg =
   if cfg.n <= 0 then invalid_arg "Population.run: n must be positive";
   if not (cfg.duration > 0.) then
@@ -87,13 +110,10 @@ let run ~cca:make_cca cfg =
     Link.create ~eq ~rate:(Link.Constant cfg.rate) ?buffer:cfg.buffer
       ~record_queue:false ()
   in
-  let master = Rng.create ~seed:cfg.seed in
-  let arrivals_rng = Rng.stream master ~label:(cfg.key ^ "/arrivals") in
-  let sizes_rng = Rng.stream master ~label:(cfg.key ^ "/sizes") in
-  let jitter_rng = Rng.stream master ~label:(cfg.key ^ "/jitter") in
+  let jitter_rng =
+    Rng.stream (Rng.create ~seed:cfg.seed) ~label:(cfg.key ^ "/jitter")
+  in
   let horizon = cfg.duration in
-  let window = cfg.arrival_frac *. cfg.duration in
-  let mean_gap = window /. float_of_int cfg.n in
   let table = Flow.Table.create ~capacity:64 () in
   let goodputs = Array.make cfg.n 0. in
 
@@ -232,20 +252,23 @@ let run ~cca:make_cca cfg =
     s.state <- Active
   in
 
-  (* Lazy Poisson arrivals: one persistent handle; gaps and sizes come
-     from order-independent labeled streams, in flow order, so the
-     population is a pure function of (seed, key) regardless of how many
-     slots exist or how they are recycled. *)
-  let next_t = ref 0. in
+  (* Lazy arrivals: one persistent handle, fed by the population draw
+     one flow ahead, so the population is a pure function of
+     (seed, key) regardless of how many slots exist or how they are
+     recycled. *)
+  let population = flows cfg in
+  let next_size = ref 0 in
   let arrival_h = Event_queue.handle ignore in
+  let schedule_next () =
+    let at, size = next population in
+    next_size := size;
+    Event_queue.schedule_handle eq arrival_h ~at
+  in
   let spawn_next () =
     let now = Event_queue.now eq in
     let k = !spawned in
     spawned := k + 1;
-    let size =
-      min cfg.size_cap
-        (int_of_float (Rng.pareto sizes_rng ~alpha:cfg.alpha ~xm:cfg.xm))
-    in
+    let size = !next_size in
     (match pop_free () with
     | Some sid -> respawn_slot sid ~start_time:now ~size ~flow_no:k
     | None -> new_slot ~start_time:now ~size ~flow_no:k);
@@ -253,14 +276,10 @@ let run ~cca:make_cca cfg =
     if !active > !peak_active then peak_active := !active;
     let p = Event_queue.pending eq in
     if p > !peak_pending then peak_pending := p;
-    if !spawned < cfg.n then begin
-      next_t := !next_t +. Rng.exponential arrivals_rng ~mean:mean_gap;
-      Event_queue.schedule_handle eq arrival_h ~at:(Float.min !next_t window)
-    end
+    if !spawned < cfg.n then schedule_next ()
   in
   Event_queue.set_action arrival_h spawn_next;
-  next_t := Rng.exponential arrivals_rng ~mean:mean_gap;
-  Event_queue.schedule_handle eq arrival_h ~at:(Float.min !next_t window);
+  schedule_next ();
 
   Event_queue.run_until eq horizon;
 

@@ -9,9 +9,31 @@
     birth-death process's concurrency bound, which is what makes a
     one-million-flow census fit one machine; see DESIGN.md §13.
 
-    The run is deterministic: arrivals and sizes come from
-    order-independent labeled RNG streams keyed by [(seed, key)], so the
-    population is identical no matter how slots happen to be recycled. *)
+    The run is deterministic: arrivals and sizes come from {!draw}, so
+    the population is identical no matter how slots happen to be
+    recycled. *)
+
+(** {1 The population draw} *)
+
+type draw
+(** The census population as a lazy generator: a pure function of
+    [(seed, key, n, window, alpha, xm, size_cap)].  {!run}, the fluid
+    census and the churn benchmark all draw their flows here, so two
+    backends given the same key run the same population. *)
+
+val draw :
+  seed:int -> key:string -> n:int -> window:float -> alpha:float -> xm:float ->
+  size_cap:int -> draw
+(** Draws from the labeled streams [key ^ "/arrivals"] and
+    [key ^ "/sizes"] of [seed]'s master generator. *)
+
+val next : draw -> float * int
+(** The next flow's [(arrival, size)], in flow order.  Arrivals are
+    Poisson with mean gap [window / n], clamped to [window], so they are
+    nondecreasing; sizes are Pareto([alpha], [xm]) truncated to whole
+    bytes and capped at [size_cap]. *)
+
+(** {1 The census engine} *)
 
 type config = {
   n : int;  (** flows to spawn *)
@@ -43,6 +65,10 @@ type result = {
   fallbacks : int;
       (** delay-line non-monotone escapes; 0 for every shipped policy *)
 }
+
+val flows : config -> draw
+(** The population {!run} spawns: {!draw} over the config's seed, key,
+    [n], [arrival_frac * duration] window and size law. *)
 
 val run :
   cca:(slot:int -> prev:Cca.instance option -> Cca.instance) ->

@@ -142,30 +142,41 @@ let hybrid_conservation ~scenario (r : Fluid.Hybrid.result) =
          (List.length r.Fluid.Hybrid.segments))
     ()
 
+(* The E14 threshold scenario: two Copa flows on 24 Mbit/s with a
+   40 ms base RTT; flow 0's ACK-path jitter steps from 0 to D at t = 1 s.
+   D is counted in Copa's equilibrium oscillation at the fair share
+   (paper sec. 2.2: 4 alpha / C), the natural unit of Theorem 1. *)
+let threshold_rate = Units.mbps 24.
+let threshold_rm = 0.04
+let threshold_delta_max = 4. *. 1500. /. (threshold_rate /. 2.)
+let late_jitter jitter_d t = if t < 1. then 0. else jitter_d
+
+(* The scenario on the hybrid backend: packet-level inside a window
+   after t = 0 (flow start) and t = 1 (jitter activation — its only
+   discontinuities), fluid in between and after. *)
+let hybrid_threshold_run ~jitter_d ~duration =
+  let copa_at ~cwnd =
+    Copa.make
+      ~params:{ Copa.default_params with init_cwnd_packets = cwnd /. 1500. }
+      ()
+  in
+  Fluid.Hybrid.run
+    (Fluid.Hybrid.config ~rate:threshold_rate ~rm:threshold_rm ~duration
+       ~measure_from:(duration /. 2.) ~events:[ 1.0 ]
+       [
+         Fluid.Hybrid.flow ~jitter:(late_jitter jitter_d) ~jitter_bound:jitter_d
+           ~packet_cca:copa_at (Ccac.Model.copa_fluid ());
+         Fluid.Hybrid.flow ~packet_cca:copa_at (Ccac.Model.copa_fluid ());
+       ])
+
 (* End-to-end hybrid check on the threshold scenario: conservation
    holds across the seams, and a jitter bound far above the Copa
    threshold still starves one flow (ratio > 4) while a bound far
    below it does not (ratio < 2) — the hybrid must preserve the
    poisoned min-RTT across the fluid->packet handoff for this. *)
 let hybrid_threshold ?(duration = 30.) () =
-  let rate = Units.mbps 24. and rm = 0.04 in
-  let delta_max = 4. *. 1500. /. (rate /. 2.) in
   let run m =
-    let jd = m *. delta_max in
-    let late t = if t < 1. then 0. else jd in
-    let copa_at ~cwnd =
-      Copa.make
-        ~params:{ Copa.default_params with init_cwnd_packets = cwnd /. 1500. }
-        ()
-    in
-    Fluid.Hybrid.run
-      (Fluid.Hybrid.config ~rate ~rm ~duration ~measure_from:(duration /. 2.)
-         ~events:[ 1.0 ]
-         [
-           Fluid.Hybrid.flow ~jitter:late ~jitter_bound:jd ~packet_cca:copa_at
-             (Ccac.Model.copa_fluid ());
-           Fluid.Hybrid.flow ~packet_cca:copa_at (Ccac.Model.copa_fluid ());
-         ])
+    hybrid_threshold_run ~jitter_d:(m *. threshold_delta_max) ~duration
   in
   let ratio (r : Fluid.Hybrid.result) =
     ratio_of r.Fluid.Hybrid.counted.(0) r.Fluid.Hybrid.counted.(1)

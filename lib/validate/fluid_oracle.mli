@@ -40,6 +40,26 @@ val hybrid_conservation :
     segments; slack is one byte per fluid->packet handoff (queue
     rounding) plus float rounding. *)
 
+val threshold_rate : float
+(** The E14 threshold scenario: two Copa flows on a [threshold_rate]
+    (24 Mbit/s) bottleneck with a [threshold_rm] (40 ms) base RTT; flow
+    0's ACK-path jitter steps from 0 to D at t = 1 s. *)
+
+val threshold_rm : float
+
+val threshold_delta_max : float
+(** Copa's equilibrium oscillation at the fair share, 4 mss / (C/2) —
+    the unit D is swept in. *)
+
+val late_jitter : float -> float -> float
+(** [late_jitter d t] is flow 0's jitter: 0 before t = 1 s, [d] after. *)
+
+val hybrid_threshold_run :
+  jitter_d:float -> duration:float -> Fluid.Hybrid.result
+(** The threshold scenario at jitter bound [jitter_d] on the hybrid
+    backend: packet windows after the t = 0 start and the t = 1
+    activation, fluid in between; bytes counted over the second half. *)
+
 val hybrid_threshold : ?duration:float -> unit -> Oracle.verdict list
 (** End-to-end hybrid run of the E14 threshold scenario at D far below
     and far above the Copa starvation threshold: conservation holds at

@@ -269,6 +269,23 @@ let test_threshold_sweep_escalates () =
     (last.Experiments.Exp_threshold.ratio
     > 2. *. first.Experiments.Exp_threshold.ratio)
 
+(* E19's two backends run one population: for every cell, the packet
+   engine's flows and the fluid census's flows are the same
+   (arrival, size) sequence, drawn under one key. *)
+let test_census_backends_share_population () =
+  List.iter
+    (fun ((p : Sim.Population.config), (f : Fluid.Census.config)) ->
+      Alcotest.(check string) "one population key" p.key f.key;
+      let packet = Sim.Population.flows p and fluid = Fluid.Census.flows f in
+      for i = 0 to p.n - 1 do
+        let ((ta, sa) as a) = Sim.Population.next packet
+        and b = Sim.Population.next fluid in
+        if a <> b then
+          Alcotest.failf "%s flow %d: packet (%g, %d), fluid (%g, %d)" p.key i
+            ta sa (fst b) (snd b)
+      done)
+    (Experiments.Exp_census.cell_configs ~quick:true)
+
 let test_export_csv () =
   let dir = Filename.temp_file "ccstarve" "" in
   Sys.remove dir;
@@ -392,6 +409,8 @@ let () =
         [
           Alcotest.test_case "merit rows" `Quick test_merit_rows;
           Alcotest.test_case "poison trace legal" `Quick test_copa_poison_trace_is_legal;
+          Alcotest.test_case "census backends share a population" `Quick
+            test_census_backends_share_population;
         ] );
       ( "end-to-end",
         end_to_end

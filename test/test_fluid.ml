@@ -53,35 +53,85 @@ let engine_config ?(rate = 1.25e6) ?(rm = 0.04) ?(duration = 30.)
   in
   Fluid.Engine.config ~rate ~buffer:(2. *. rate *. rm) ~rm ~duration flows
 
+(* Late-starting, finite-size flows of the same law, admitted between
+   steps: they cover [admit], completion and the hand-off of a completed
+   flow's leftover backlog to the phantom queue. *)
+let late_flows = [ (2., 2e5); (5., 5e4); (5., 1e6); (12., 3e5) ]
+
+let run_with_late cfg ~law late =
+  let eng = Fluid.Engine.create cfg in
+  let pending = ref (List.sort compare late) in
+  while not (Fluid.Engine.finished eng) do
+    let rec admit_due () =
+      match !pending with
+      | (start, size) :: rest when start <= Fluid.Engine.now eng ->
+          Fluid.Engine.admit eng (Fluid.Engine.flow ~size law);
+          pending := rest;
+          admit_due ()
+      | _ -> ()
+    in
+    admit_due ();
+    Fluid.Engine.step eng
+  done;
+  eng
+
 let test_engine_conservation () =
   List.iter
     (fun (name, law) ->
-      let eng = Fluid.Engine.run_config (engine_config law) in
-      let accepted = Fluid.Engine.accepted_total eng in
-      let err = Fluid.Engine.conservation_error eng in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: flows actually sent" name)
-        true (accepted > 0.);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: ledger closes (err %.3g)" name err)
-        true
-        (err <= 1. +. 1e-6 *. accepted))
+      List.iter
+        (fun (input, late) ->
+          let eng = run_with_late (engine_config law) ~law late in
+          let accepted = Fluid.Engine.accepted_total eng in
+          let err = Fluid.Engine.conservation_error eng in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: flows actually sent" name input)
+            true (accepted > 0.);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: ledger closes (err %.3g)" name input err)
+            true
+            (err <= 1. +. 1e-6 *. accepted))
+        [ ("two streams", []); ("plus late sized flows", late_flows) ])
     [
       ("reno", Ccac.Model.reno_fluid);
       ("copa", Ccac.Model.copa_fluid ());
       ("vegas", Ccac.Model.vegas_fluid ());
     ]
 
+let test_engine_completion () =
+  let law = Ccac.Model.copa_fluid () in
+  let eng = run_with_late (engine_config law) ~law late_flows in
+  let n = 2 + List.length late_flows in
+  Alcotest.(check int) "every late flow completes" (List.length late_flows)
+    (Fluid.Engine.completions eng);
+  Alcotest.(check int) "the streams stay live" 2 (Fluid.Engine.live eng);
+  for i = 2 to n - 1 do
+    let g = Fluid.Engine.goodput eng i in
+    Alcotest.(check bool)
+      (Printf.sprintf "completed flow %d keeps its goodput (%g B/s)" i g)
+      true
+      (Float.is_finite g && g > 0.)
+  done;
+  Alcotest.check_raises "a completed flow has no window"
+    (Invalid_argument "Fluid.Engine: flow has completed") (fun () ->
+      ignore (Fluid.Engine.flow_cwnd eng 2))
+
 let test_engine_deterministic () =
-  let run () =
-    let eng = Fluid.Engine.run_config (engine_config Ccac.Model.reno_fluid) in
+  let run late =
+    let law = Ccac.Model.reno_fluid in
+    let eng = run_with_late (engine_config law) ~law late in
     ( Fluid.Engine.steps eng,
       Int64.bits_of_float (Fluid.Engine.served_total eng),
       Int64.bits_of_float (Fluid.Engine.queue_bytes eng),
-      Int64.bits_of_float (Fluid.Engine.flow_cwnd eng 0) )
+      Int64.bits_of_float (Fluid.Engine.flow_cwnd eng 0),
+      List.init (List.length late) (fun i ->
+          Int64.bits_of_float (Fluid.Engine.goodput eng (2 + i))) )
   in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "bitwise-identical reruns" true (a = b)
+  List.iter
+    (fun late ->
+      Alcotest.(check bool)
+        "bitwise-identical reruns" true
+        (run late = run late))
+    [ []; late_flows ]
 
 let test_engine_symmetric_fairness () =
   (* Two identical Reno flows on one link: equilibrium shares within a
@@ -106,14 +156,16 @@ let prop_engine_conservation =
   QCheck.Test.make ~name:"fluid ledger closes for arbitrary small configs"
     ~count:25
     QCheck.(
-      triple (1 -- 4)
+      quad (1 -- 4)
         (float_range 2.5e5 5e6)
-        (float_range 0.01 0.08))
-    (fun (nflows, rate, rm) ->
+        (float_range 0.01 0.08)
+        (small_list (pair (float_range 0. 15.) (float_range 1e4 1e6))))
+    (fun (nflows, rate, rm, late) ->
+      let law = Ccac.Model.copa_fluid () in
       let eng =
-        Fluid.Engine.run_config
-          (engine_config ~nflows ~rate ~rm ~duration:20.
-             (Ccac.Model.copa_fluid ()))
+        run_with_late
+          (engine_config ~nflows ~rate ~rm ~duration:20. law)
+          ~law late
       in
       Fluid.Engine.conservation_error eng
       <= 1. +. (1e-6 *. Fluid.Engine.accepted_total eng))
@@ -188,6 +240,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "conservation" `Quick test_engine_conservation;
+          Alcotest.test_case "completion" `Quick test_engine_completion;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
           Alcotest.test_case "symmetric fairness" `Quick
             test_engine_symmetric_fairness;

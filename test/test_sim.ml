@@ -2292,6 +2292,46 @@ let test_population_deterministic () =
   Alcotest.(check int)
     "completed equal" r1.Sim.Population.completed r2.Sim.Population.completed
 
+(* The shared population draw: a pure function of (seed, key), arrivals
+   nondecreasing inside the arrival window, sizes whole bytes in
+   [xm, size_cap]. *)
+let test_population_draw () =
+  let n = 2_000 and window = 0.6 *. 50. and xm = 15_000. in
+  let size_cap = 400_000 in
+  let take ~seed ~key =
+    let d =
+      Sim.Population.draw ~seed ~key ~n ~window ~alpha:1.5 ~xm ~size_cap
+    in
+    List.init n (fun _ -> Sim.Population.next d)
+  in
+  let a = take ~seed:7 ~key:"test/draw" in
+  Alcotest.(check bool)
+    "same (seed, key): same population" true
+    (a = take ~seed:7 ~key:"test/draw");
+  Alcotest.(check bool)
+    "other key: other population" true
+    (a <> take ~seed:7 ~key:"test/draw2");
+  Alcotest.(check bool)
+    "other seed: other population" true
+    (a <> take ~seed:8 ~key:"test/draw");
+  ignore
+    (List.fold_left
+       (fun prev (t, size) ->
+         if not (prev <= t && t <= window) then
+           Alcotest.failf "arrival %g after %g or past the window %g" t prev
+             window;
+         if not (float_of_int size >= xm && size <= size_cap) then
+           Alcotest.failf "size %d outside [%g, %d]" size xm size_cap;
+         t)
+       0. a);
+  (* Under this seed the Poisson sum overshoots, so the clamp binds. *)
+  Alcotest.(check bool)
+    "the window clamps the last arrivals" true
+    (List.exists (fun (t, _) -> t = window) a);
+  Alcotest.(check bool)
+    "the cap binds on the Pareto tail" true
+    (List.exists (fun (_, size) -> size = size_cap) a)
+
 (* System-level trace equivalence: a whole census population driven by
    columnar recycled CCA instances produces bit-identical goodputs to one
    driven by fresh boxed instances — per slot, alternating CCA kinds to
@@ -2529,6 +2569,7 @@ let () =
           Alcotest.test_case "recycles slots" `Quick
             test_population_recycles_slots;
           Alcotest.test_case "deterministic" `Quick test_population_deterministic;
+          Alcotest.test_case "draw" `Quick test_population_draw;
           Alcotest.test_case "columnar equivalence" `Quick
             test_population_columnar_equivalence;
         ] );
