@@ -14,10 +14,10 @@
    arena, so steady-state flow churn allocates nothing and the arena's
    high-water mark tracks peak concurrency, not total population.
 
-   Growth replaces [data], so CCA callbacks must re-read [t.data] (or go
-   through {!get}/{!set}) on every event rather than caching the array
-   across events.  Within one callback no allocation happens, so a
-   single read of [t.data] per callback is safe. *)
+   Growth replaces [data], so CCA callbacks must re-read [t.data] on
+   every event rather than caching the array across events.  Nothing
+   inside a callback grows the arena, so a single read of [t.data] per
+   callback is safe. *)
 
 type t = {
   nfields : int;
@@ -74,5 +74,4 @@ let free t r =
   t.free.(t.nfree) <- r;
   t.nfree <- t.nfree + 1
 
-let get t r f = t.data.((r * t.nfields) + f)
-let set t r f v = t.data.((r * t.nfields) + f) <- v
+let data t = t.data

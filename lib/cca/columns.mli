@@ -3,8 +3,9 @@
     The columnar layout contract for {!Cca} implementations: all float
     state of one CCA kind lives in one unboxed [float array], one row of
     [nfields] consecutive cells per instance.  Rows are allocated with
-    {!alloc}, recycled through a free list with {!free}, and accessed by
-    (row, field) — every access is an unboxed float-array load or store.
+    {!alloc}, recycled through a free list with {!free}, and accessed
+    through {!data} at [row * nfields + field] — every access is an
+    unboxed float-array load or store.
 
     Constructors like [Reno.make_in] take an arena and return a
     {!Cca.instance} whose closures hold only the arena and a row index;
@@ -12,8 +13,9 @@
     churning million-flow population's CCA state footprint is bounded by
     peak concurrency, not population size.
 
-    The backing array is replaced on growth: cache [t] (and go through
-    {!get}/{!set}), never the array itself, across events. *)
+    The backing array is replaced on growth: cache [t], never the array
+    itself, across events.  Nothing inside a CCA callback grows the
+    arena, so one {!data} read per callback is safe. *)
 
 type t
 
@@ -42,8 +44,7 @@ val live : t -> int
 val capacity : t -> int
 (** Rows the backing array can hold before the next growth. *)
 
-val get : t -> int -> int -> float
-(** [get t row field]. *)
-
-val set : t -> int -> int -> float -> unit
-(** [set t row field v]. *)
+val data : t -> float array
+(** The backing array, row-major: row [r], field [f] at
+    [r * nfields t + f].  Valid until the next {!alloc} that grows the
+    arena. *)

@@ -13,136 +13,14 @@ let default_params =
     mss = Cca.default_mss;
   }
 
-type direction = Up | Down | Unset
-
-type state = {
-  p : params;
-  mutable cwnd : float; (* bytes *)
-  min_rtt : Window.Extremum.t;
-  standing : Window.Extremum.t;
-  mutable srtt : float;
-  mutable velocity : float;
-  mutable direction : direction;
-  mutable same_direction_rtts : int;
-  mutable epoch_start : float;
-  mutable cwnd_at_epoch : float;
-  mutable slow_start : bool;
-}
-
-let mss_f s = float_of_int s.p.mss
-
-let queue_delay s =
-  match (Window.Extremum.get s.standing, Window.Extremum.get s.min_rtt) with
-  | Some st, Some mn -> Float.max 0. (st -. mn)
-  | _ -> 0.
-
-let target_rate_pps s =
-  let dq = queue_delay s in
-  if dq <= 0. then infinity else 1. /. (s.p.delta *. dq)
-
-let current_rate_pps s =
-  match Window.Extremum.get s.standing with
-  | Some st when st > 0. -> s.cwnd /. mss_f s /. st
-  | _ -> 0.
-
-let make ?(params = default_params) () =
-  let s =
-    {
-      p = params;
-      cwnd = params.init_cwnd_packets *. float_of_int params.mss;
-      min_rtt = Window.Extremum.create_min ~window:params.min_rtt_window;
-      standing = Window.Extremum.create_min ~window:0.05;
-      srtt = 0.;
-      velocity = 1.;
-      direction = Unset;
-      same_direction_rtts = 0;
-      epoch_start = 0.;
-      cwnd_at_epoch = 0.;
-      slow_start = true;
-    }
-  in
-  let per_rtt_velocity_update () =
-    let dir = if s.cwnd > s.cwnd_at_epoch then Up else Down in
-    (match (s.direction, dir) with
-    | Up, Up | Down, Down ->
-        s.same_direction_rtts <- s.same_direction_rtts + 1;
-        if s.same_direction_rtts >= 3 then s.velocity <- Float.min (s.velocity *. 2.) 1e6
-    | _ ->
-        s.direction <- dir;
-        s.same_direction_rtts <- 0;
-        s.velocity <- 1.);
-    s.direction <- dir;
-    s.cwnd_at_epoch <- s.cwnd
-  in
-  let on_ack (a : Cca.ack_info) =
-    let mss = mss_f s in
-    Window.Extremum.push s.min_rtt ~time:a.now a.rtt;
-    s.srtt <- (if s.srtt = 0. then a.rtt else (0.875 *. s.srtt) +. (0.125 *. a.rtt));
-    Window.Extremum.set_window s.standing (Float.max (s.srtt /. 2.) 1e-4);
-    Window.Extremum.push s.standing ~time:a.now a.rtt;
-    let target = target_rate_pps s in
-    let current = current_rate_pps s in
-    if s.slow_start then begin
-      if current < target then
-        (* Double per RTT: +1 packet per acked packet. *)
-        s.cwnd <- s.cwnd +. float_of_int a.acked_bytes
-      else s.slow_start <- false
-    end;
-    if not s.slow_start then begin
-      let cwnd_pkts = Float.max (s.cwnd /. mss) 1. in
-      let step = s.velocity *. mss /. (s.p.delta *. cwnd_pkts) in
-      if current <= target then s.cwnd <- s.cwnd +. step
-      else s.cwnd <- s.cwnd -. step;
-      s.cwnd <- Float.max s.cwnd (2. *. mss)
-    end;
-    if a.now -. s.epoch_start >= s.srtt && s.srtt > 0. then begin
-      s.epoch_start <- a.now;
-      per_rtt_velocity_update ()
-    end
-  in
-  let on_loss (l : Cca.loss_info) =
-    match l.kind with
-    | `Timeout -> s.cwnd <- 2. *. mss_f s
-    | `Dupack ->
-        (* Copa's default mode halves the window on loss. *)
-        s.cwnd <- Float.max (s.cwnd /. 2.) (2. *. mss_f s)
-  in
-  let pacing_rate () =
-    match Window.Extremum.get s.standing with
-    | Some st when st > 0. -> Some (2. *. s.cwnd /. st)
-    | _ -> None
-  in
-  {
-    Cca.name = "copa";
-    on_ack;
-    on_loss;
-    on_send = (fun _ -> ());
-    on_timer = (fun _ -> ());
-    next_timer = (fun () -> None);
-    cwnd = (fun () -> s.cwnd);
-    pacing_rate;
-    inspect =
-      (fun () ->
-        [
-          ("cwnd", s.cwnd);
-          ("min_rtt", Window.Extremum.get_default s.min_rtt nan);
-          ("standing_rtt", Window.Extremum.get_default s.standing nan);
-          ("queue_delay", queue_delay s);
-          ("velocity", s.velocity);
-          ("target_pps", target_rate_pps s);
-        ]);
-  }
-
-(* --- Columnar variant ---------------------------------------------------- *)
-
-(* Same algorithm as [make] with the float state in one row of a shared
-   {!Columns} arena.  Copa is only partially columnar: the two
-   windowed-minimum deques are inherently variable-length and stay boxed
-   per instance (they are bounded by the window's sample count and are
-   cleared on reset/release).  Direction is encoded 0/1/2 =
-   Unset/Up/Down, the same-direction RTT count and the slow-start flag
-   as small exact floats, so every update below is bit-identical to the
-   boxed path — asserted by the trace-equivalence qcheck property. *)
+(* The float state is one row of a {!Columns} arena, indexed directly at
+   [base + field] as in {!Reno}: one [Columns.data] read per callback,
+   because an [-opaque] accessor call would box every float (and the
+   float-valued helpers are inlined for the same reason).  The two
+   windowed-minimum deques are variable-length, so they stay boxed per
+   instance and are cleared on reset/release.  Direction is encoded
+   0/1/2 = Unset/Up/Down, the same-direction RTT count and the
+   slow-start flag as small exact floats. *)
 
 let nfields = 8
 let f_cwnd = 0
@@ -159,98 +37,94 @@ let make_in ?(params = default_params) cols =
     invalid_arg "Copa.make_in: arena has the wrong number of fields";
   let mss = float_of_int params.mss in
   let r = Columns.alloc cols in
+  let b = r * nfields in
   let min_rtt = Window.Extremum.create_min ~window:params.min_rtt_window in
   let standing = Window.Extremum.create_min ~window:0.05 in
   let reset () =
-    Columns.set cols r f_cwnd (params.init_cwnd_packets *. mss);
-    Columns.set cols r f_srtt 0.;
-    Columns.set cols r f_velocity 1.;
-    Columns.set cols r f_direction 0.;
-    Columns.set cols r f_same_dir 0.;
-    Columns.set cols r f_epoch_start 0.;
-    Columns.set cols r f_cwnd_at_epoch 0.;
-    Columns.set cols r f_slow_start 1.;
+    let d = Columns.data cols in
+    d.(b + f_cwnd) <- params.init_cwnd_packets *. mss;
+    d.(b + f_srtt) <- 0.;
+    d.(b + f_velocity) <- 1.;
+    d.(b + f_direction) <- 0.;
+    d.(b + f_same_dir) <- 0.;
+    d.(b + f_epoch_start) <- 0.;
+    d.(b + f_cwnd_at_epoch) <- 0.;
+    d.(b + f_slow_start) <- 1.;
     Window.Extremum.clear min_rtt;
     Window.Extremum.set_window min_rtt params.min_rtt_window;
     Window.Extremum.clear standing;
     Window.Extremum.set_window standing 0.05
   in
   reset ();
-  let queue_delay () =
+  let[@inline] queue_delay () =
     match (Window.Extremum.get standing, Window.Extremum.get min_rtt) with
     | Some st, Some mn -> Float.max 0. (st -. mn)
     | _ -> 0.
   in
-  let target_rate_pps () =
+  let[@inline] target_rate_pps () =
     let dq = queue_delay () in
     if dq <= 0. then infinity else 1. /. (params.delta *. dq)
   in
-  let current_rate_pps () =
-    match Window.Extremum.get standing with
-    | Some st when st > 0. -> Columns.get cols r f_cwnd /. mss /. st
-    | _ -> 0.
-  in
-  let per_rtt_velocity_update () =
-    let dir =
-      if Columns.get cols r f_cwnd > Columns.get cols r f_cwnd_at_epoch then 1.
-      else 2.
-    in
-    (if Columns.get cols r f_direction = dir then begin
-       let same = Columns.get cols r f_same_dir +. 1. in
-       Columns.set cols r f_same_dir same;
-       if same >= 3. then
-         Columns.set cols r f_velocity
-           (Float.min (Columns.get cols r f_velocity *. 2.) 1e6)
-     end
-     else begin
-       Columns.set cols r f_direction dir;
-       Columns.set cols r f_same_dir 0.;
-       Columns.set cols r f_velocity 1.
-     end);
-    Columns.set cols r f_direction dir;
-    Columns.set cols r f_cwnd_at_epoch (Columns.get cols r f_cwnd)
+  let per_rtt_velocity_update d =
+    let dir = if d.(b + f_cwnd) > d.(b + f_cwnd_at_epoch) then 1. else 2. in
+    if d.(b + f_direction) = dir then begin
+      let same = d.(b + f_same_dir) +. 1. in
+      d.(b + f_same_dir) <- same;
+      if same >= 3. then
+        d.(b + f_velocity) <- Float.min (d.(b + f_velocity) *. 2.) 1e6
+    end
+    else begin
+      d.(b + f_direction) <- dir;
+      d.(b + f_same_dir) <- 0.;
+      d.(b + f_velocity) <- 1.
+    end;
+    d.(b + f_cwnd_at_epoch) <- d.(b + f_cwnd)
   in
   let on_ack (a : Cca.ack_info) =
+    let d = Columns.data cols in
     Window.Extremum.push min_rtt ~time:a.now a.rtt;
-    let srtt0 = Columns.get cols r f_srtt in
+    let srtt0 = d.(b + f_srtt) in
     let srtt =
       if srtt0 = 0. then a.rtt else (0.875 *. srtt0) +. (0.125 *. a.rtt)
     in
-    Columns.set cols r f_srtt srtt;
+    d.(b + f_srtt) <- srtt;
     Window.Extremum.set_window standing (Float.max (srtt /. 2.) 1e-4);
     Window.Extremum.push standing ~time:a.now a.rtt;
     let target = target_rate_pps () in
-    let current = current_rate_pps () in
-    if Columns.get cols r f_slow_start = 1. then begin
+    let current =
+      match Window.Extremum.get standing with
+      | Some st when st > 0. -> d.(b + f_cwnd) /. mss /. st
+      | _ -> 0.
+    in
+    if d.(b + f_slow_start) = 1. then begin
       if current < target then
-        Columns.set cols r f_cwnd
-          (Columns.get cols r f_cwnd +. float_of_int a.acked_bytes)
-      else Columns.set cols r f_slow_start 0.
+        (* Double per RTT: +1 packet per acked packet. *)
+        d.(b + f_cwnd) <- d.(b + f_cwnd) +. float_of_int a.acked_bytes
+      else d.(b + f_slow_start) <- 0.
     end;
-    if Columns.get cols r f_slow_start <> 1. then begin
-      let cwnd = Columns.get cols r f_cwnd in
+    if d.(b + f_slow_start) <> 1. then begin
+      let cwnd = d.(b + f_cwnd) in
       let cwnd_pkts = Float.max (cwnd /. mss) 1. in
-      let step =
-        Columns.get cols r f_velocity *. mss /. (params.delta *. cwnd_pkts)
-      in
+      let step = d.(b + f_velocity) *. mss /. (params.delta *. cwnd_pkts) in
       let cwnd = if current <= target then cwnd +. step else cwnd -. step in
-      Columns.set cols r f_cwnd (Float.max cwnd (2. *. mss))
+      d.(b + f_cwnd) <- Float.max cwnd (2. *. mss)
     end;
-    if a.now -. Columns.get cols r f_epoch_start >= srtt && srtt > 0. then begin
-      Columns.set cols r f_epoch_start a.now;
-      per_rtt_velocity_update ()
+    if a.now -. d.(b + f_epoch_start) >= srtt && srtt > 0. then begin
+      d.(b + f_epoch_start) <- a.now;
+      per_rtt_velocity_update d
     end
   in
   let on_loss (l : Cca.loss_info) =
+    let d = Columns.data cols in
     match l.kind with
-    | `Timeout -> Columns.set cols r f_cwnd (2. *. mss)
+    | `Timeout -> d.(b + f_cwnd) <- 2. *. mss
     | `Dupack ->
-        Columns.set cols r f_cwnd
-          (Float.max (Columns.get cols r f_cwnd /. 2.) (2. *. mss))
+        (* Copa's default mode halves the window on loss. *)
+        d.(b + f_cwnd) <- Float.max (d.(b + f_cwnd) /. 2.) (2. *. mss)
   in
   let pacing_rate () =
     match Window.Extremum.get standing with
-    | Some st when st > 0. -> Some (2. *. Columns.get cols r f_cwnd /. st)
+    | Some st when st > 0. -> Some (2. *. (Columns.data cols).(b + f_cwnd) /. st)
     | _ -> None
   in
   let cca =
@@ -261,16 +135,17 @@ let make_in ?(params = default_params) cols =
       on_send = (fun _ -> ());
       on_timer = (fun _ -> ());
       next_timer = (fun () -> None);
-      cwnd = (fun () -> Columns.get cols r f_cwnd);
+      cwnd = (fun () -> (Columns.data cols).(b + f_cwnd));
       pacing_rate;
       inspect =
         (fun () ->
+          let d = Columns.data cols in
           [
-            ("cwnd", Columns.get cols r f_cwnd);
+            ("cwnd", d.(b + f_cwnd));
             ("min_rtt", Window.Extremum.get_default min_rtt nan);
             ("standing_rtt", Window.Extremum.get_default standing nan);
             ("queue_delay", queue_delay ());
-            ("velocity", Columns.get cols r f_velocity);
+            ("velocity", d.(b + f_velocity));
             ("target_pps", target_rate_pps ());
           ]);
     }
@@ -281,6 +156,8 @@ let make_in ?(params = default_params) cols =
     Columns.free cols r
   in
   { Cca.cca; reset = Some reset; release }
+
+let make ?params () = (make_in ?params (Columns.create ~capacity:1 ~nfields ())).Cca.cca
 
 let equilibrium_queue_delay p ~rate = float_of_int p.mss /. (p.delta *. rate)
 

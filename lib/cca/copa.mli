@@ -25,16 +25,15 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** A standalone instance: {!make_in} on a fresh one-row arena. *)
 
 val nfields : int
 (** Float cells per instance in the columnar layout. *)
 
 val make_in : ?params:params -> Columns.t -> Cca.instance
-(** Columnar constructor: identical algorithm to {!make} with the float
-    state in one arena row ({!nfields} fields).  Copa is partially
-    columnar — the two windowed-minimum deques stay boxed per instance
-    and are cleared on reset/release.  Trace-equivalent to {!make} —
-    asserted by a qcheck property. *)
+(** The algorithm, with the float state in one arena row ({!nfields}
+    fields).  Copa is partially columnar — the two windowed-minimum
+    deques stay boxed per instance and are cleared on reset/release. *)
 
 val equilibrium_queue_delay : params -> rate:float -> float
 (** [mss / (delta * C)] seconds. *)

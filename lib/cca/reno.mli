@@ -14,12 +14,12 @@ type params = {
 
 val default_params : params
 val make : ?params:params -> unit -> Cca.t
+(** A standalone instance: {!make_in} on a fresh one-row arena. *)
 
 val nfields : int
 (** Float cells per instance in the columnar layout. *)
 
 val make_in : ?params:params -> Columns.t -> Cca.instance
-(** Columnar constructor: identical algorithm to {!make}, with all state
-    in one row of the given arena (which must have {!nfields} fields).
-    The returned instance is resettable and its [release] frees the row.
-    Trace-equivalent to {!make} — asserted by a qcheck property. *)
+(** The algorithm, with all state in one row of the given arena (which
+    must have {!nfields} fields).  The returned instance is resettable
+    and its [release] frees the row. *)

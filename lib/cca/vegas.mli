@@ -21,16 +21,15 @@ type params = {
 val default_params : params
 
 val make : ?params:params -> unit -> Cca.t
+(** A standalone instance: {!make_in} on a fresh one-row arena. *)
 
 val nfields : int
 (** Float cells per instance in the columnar layout. *)
 
 val make_in : ?params:params -> Columns.t -> Cca.instance
-(** Columnar constructor: identical algorithm to {!make} with all the
-    float state (booleans as 0./1. cells, [base_rtt] starting at
-    [infinity]) in one arena row of {!nfields} fields.  Bitwise
-    trace-equivalent to {!make} — asserted by a qcheck property — so
-    Vegas can join the million-flow census cells. *)
+(** The algorithm, with all the float state (booleans as 0./1. cells,
+    [base_rtt] starting at [infinity]) in one arena row of {!nfields}
+    fields. *)
 
 val equilibrium_rtt : params -> rate:float -> rm:float -> float
 (** Analytic equilibrium RTT on an ideal path of the given rate: the §4.1

@@ -67,22 +67,18 @@ let population v ~quick = if quick then 250 else v.v_n_full
    returns to) the same flat float rows.  [prev] is always resettable
    here because a cell is single-CCA. *)
 let columnar_factory cca_name =
-  let recycle i =
-    match i.Cca.reset with Some r -> r (); i | None -> assert false
+  let factory nfields make_in =
+    let cols = Columns.create ~nfields () in
+    fun ~slot:_ ~prev ->
+      match prev with
+      | Some i -> (
+          match i.Cca.reset with Some r -> r (); i | None -> assert false)
+      | None -> make_in cols
   in
   match cca_name with
-  | "copa" ->
-      let cols = Columns.create ~nfields:Copa.nfields () in
-      fun ~slot:_ ~prev ->
-        (match prev with Some i -> recycle i | None -> Copa.make_in cols)
-  | "reno" ->
-      let cols = Columns.create ~nfields:Reno.nfields () in
-      fun ~slot:_ ~prev ->
-        (match prev with Some i -> recycle i | None -> Reno.make_in cols)
-  | "vegas" ->
-      let cols = Columns.create ~nfields:Vegas.nfields () in
-      fun ~slot:_ ~prev ->
-        (match prev with Some i -> recycle i | None -> Vegas.make_in cols)
+  | "copa" -> factory Copa.nfields Copa.make_in
+  | "reno" -> factory Reno.nfields Reno.make_in
+  | "vegas" -> factory Vegas.nfields Vegas.make_in
   | name -> invalid_arg ("census: no columnar factory for " ^ name)
 
 let cell_key ~variant ~cca_name ~backend ~jitter_d ~n =

@@ -2241,7 +2241,7 @@ let population_cfg ?(n = 1500) ?(seed = 11) ?(key = "test/pop")
     size_cap = 1_000_000;
   }
 
-let boxed_reno ~slot:_ ~prev:_ = Cca.instance_of (Reno.make ())
+let fresh_reno ~slot:_ ~prev:_ = Cca.instance_of (Reno.make ())
 
 let goodputs_equal a b =
   Array.length a = Array.length b
@@ -2251,7 +2251,7 @@ let goodputs_equal a b =
 
 let test_population_recycles_slots () =
   let cfg = population_cfg () in
-  let r = Sim.Population.run ~cca:boxed_reno cfg in
+  let r = Sim.Population.run ~cca:fresh_reno cfg in
   Alcotest.(check int) "spawned = n" cfg.Sim.Population.n r.Sim.Population.spawned;
   Alcotest.(check bool)
     "most flows complete" true
@@ -2284,8 +2284,8 @@ let test_population_recycles_slots () =
 
 let test_population_deterministic () =
   let cfg = population_cfg ~n:800 ~jitter_d:0.02 () in
-  let r1 = Sim.Population.run ~cca:boxed_reno cfg in
-  let r2 = Sim.Population.run ~cca:boxed_reno cfg in
+  let r1 = Sim.Population.run ~cca:fresh_reno cfg in
+  let r2 = Sim.Population.run ~cca:fresh_reno cfg in
   Alcotest.(check bool)
     "goodputs bit-identical across runs" true
     (goodputs_equal r1.Sim.Population.goodputs r2.Sim.Population.goodputs);
@@ -2332,13 +2332,13 @@ let test_population_draw () =
     "the cap binds on the Pareto tail" true
     (List.exists (fun (_, size) -> size = size_cap) a)
 
-(* System-level trace equivalence: a whole census population driven by
-   columnar recycled CCA instances produces bit-identical goodputs to one
-   driven by fresh boxed instances — per slot, alternating CCA kinds to
-   exercise the mixed-cell matrix. *)
+(* System-level row recycling: a whole census population driven by
+   recycled rows of shared arenas produces bit-identical goodputs to one
+   driven by a fresh one-row instance per flow incarnation — per slot,
+   alternating CCA kinds to exercise the mixed-cell matrix. *)
 let test_population_columnar_equivalence () =
   let cfg = population_cfg ~n:800 ~key:"test/pop-col" ~jitter_d:0.02 () in
-  let boxed ~slot ~prev:_ =
+  let fresh ~slot ~prev:_ =
     Cca.instance_of (if slot mod 2 = 0 then Reno.make () else Copa.make ())
   in
   let reno_cols = Columns.create ~nfields:Reno.nfields () in
@@ -2354,17 +2354,17 @@ let test_population_columnar_equivalence () =
         if slot mod 2 = 0 then Reno.make_in reno_cols
         else Copa.make_in copa_cols
   in
-  let rb = Sim.Population.run ~cca:boxed cfg in
+  let rf = Sim.Population.run ~cca:fresh cfg in
   let rc = Sim.Population.run ~cca:columnar cfg in
   Alcotest.(check bool)
-    "columnar goodputs bit-identical to boxed" true
-    (goodputs_equal rb.Sim.Population.goodputs rc.Sim.Population.goodputs);
+    "recycled-row goodputs bit-identical to fresh instances" true
+    (goodputs_equal rf.Sim.Population.goodputs rc.Sim.Population.goodputs);
   Alcotest.(check int)
-    "completed equal" rb.Sim.Population.completed rc.Sim.Population.completed;
+    "completed equal" rf.Sim.Population.completed rc.Sim.Population.completed;
   Alcotest.(check bool)
     "arena rows bounded by slots" true
     (Columns.rows reno_cols + Columns.rows copa_cols
-    <= rb.Sim.Population.slots)
+    <= rf.Sim.Population.slots)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
